@@ -87,13 +87,12 @@ proptest:
 
 # daemon-smoke drives the vxprofd serving path end to end: start the
 # service, attach two workloads as sessions over the /v1 HTTP API, fetch
-# /v1/sessions/{id}/report and the 308-redirected legacy paths, diff
-# each per-session report against the equivalent one-shot run, exercise
-# admission quotas (202 queued / 429 rejected) and restart recovery from
-# the persistent store — plus a real SIGTERM drain of the re-executed
-# binary.
+# /v1/sessions/{id}/report and /v1/metrics, diff each per-session report
+# against the equivalent one-shot run, exercise admission quotas (202
+# queued / 429 rejected) and restart recovery from the persistent store —
+# plus a real SIGTERM drain of the re-executed binary.
 daemon-smoke:
-	$(GO) test -count=1 -run 'TestDaemonSmoke|TestGracefulSIGTERM|TestLegacyRedirects|TestDaemonQuota|TestDaemonRestartRecovery' -v ./cmd/vxprofd
+	$(GO) test -count=1 -run 'TestDaemonSmoke|TestGracefulSIGTERM|TestDaemonQuota|TestDaemonRestartRecovery' -v ./cmd/vxprofd
 
 # cover enforces COVER_FLOOR percent statement coverage on COVER_PKGS.
 cover:

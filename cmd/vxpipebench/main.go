@@ -6,8 +6,8 @@
 // export: collection (sanitizer flush capture + buffer waits) vs.
 // analysis vs. snapshot maintenance, the same split the paper's §6
 // overhead tables use, plus the analysis stage's own breakdown
-// (worker-side compaction, pre-combiner folds, the collector's serial
-// absorbs, launch-end finalization). The gated metrics (wall, analysis)
+// (worker-side compaction, the collector's serial absorbs, launch-end
+// finalization). The gated metrics (wall, analysis)
 // carry the repeats' mean AND spread, so the baseline file records how
 // noisy the measurement was, not just where it landed.
 //
@@ -16,8 +16,7 @@
 // when its measured mean exceeds the baseline mean by the tolerance AND
 // by -k standard deviations of the measured runs, and the command exits
 // nonzero printing a per-setting diff of measured vs baseline vs
-// allowed. Legacy single-mean baseline files keep gating (as one run
-// with zero spread).
+// allowed.
 //
 // Usage:
 //
@@ -61,10 +60,9 @@ type setting struct {
 
 	// Analysis-stage breakdown (summed over stages), mean ms per run:
 	// where the analysis cost actually sits — parallel worker-side
-	// compaction, the pre-combiner's pairwise folds, the collector's
-	// serial absorbs, and launch-end finalization.
+	// compaction, the collector's serial absorbs, and launch-end
+	// finalization.
 	CompactMSPerOp  float64 `json:"compact_ms_per_op"`
-	CombineMSPerOp  float64 `json:"combine_ms_per_op"`
 	AbsorbMSPerOp   float64 `json:"absorb_ms_per_op"`
 	FinalizeMSPerOp float64 `json:"finalize_ms_per_op"`
 
@@ -114,10 +112,10 @@ func main() {
 			os.Exit(1)
 		}
 		traj.Settings = append(traj.Settings, s)
-		fmt.Fprintf(os.Stderr, "workers=%d: %.2f±%.2f ms/op (collection %.2f, analysis %.2f±%.2f [compact %.2f, combine %.2f, absorb %.2f, finalize %.2f], snapshots %.2f)\n",
+		fmt.Fprintf(os.Stderr, "workers=%d: %.2f±%.2f ms/op (collection %.2f, analysis %.2f±%.2f [compact %.2f, absorb %.2f, finalize %.2f], snapshots %.2f)\n",
 			s.Workers, s.WallMSPerOp.Mean, s.WallMSPerOp.Std, s.CollectionMSPerOp,
 			s.AnalysisMSPerOp.Mean, s.AnalysisMSPerOp.Std,
-			s.CompactMSPerOp, s.CombineMSPerOp, s.AbsorbMSPerOp, s.FinalizeMSPerOp,
+			s.CompactMSPerOp, s.AbsorbMSPerOp, s.FinalizeMSPerOp,
 			s.SnapshotMSPerOp)
 	}
 	f, err := os.Create(*out)
@@ -219,7 +217,7 @@ func measure(workload string, scale, workers, iters int) (setting, error) {
 	}
 	s := setting{Workers: workers, Depth: depth}
 
-	var wallS, analS, collS, snapS, compS, combS, absS, finS []float64
+	var wallS, analS, collS, snapS, compS, absS, finS []float64
 	for i := 0; i < iters; i++ {
 		tel := valueexpert.NewTelemetry()
 		cfg := valueexpert.Config{
@@ -248,7 +246,7 @@ func measure(workload string, scale, workers, iters int) (setting, error) {
 				s.StageBatches += v
 			}
 		}
-		var compact, combine, absorb, finalize time.Duration
+		var compact, absorb, finalize time.Duration
 		for name, ts := range m.Timers {
 			if !strings.HasPrefix(name, "stage.") {
 				continue
@@ -257,8 +255,6 @@ func measure(workload string, scale, workers, iters int) (setting, error) {
 			switch {
 			case strings.HasSuffix(name, ".compact"):
 				compact += d
-			case strings.HasSuffix(name, ".combine"):
-				combine += d
 			case strings.HasSuffix(name, ".absorb"):
 				absorb += d
 			case strings.HasSuffix(name, ".finalize"):
@@ -266,7 +262,6 @@ func measure(workload string, scale, workers, iters int) (setting, error) {
 			}
 		}
 		compS = append(compS, ms(compact))
-		combS = append(combS, ms(combine))
 		absS = append(absS, ms(absorb))
 		finS = append(finS, ms(finalize))
 		p.Detach()
@@ -277,7 +272,6 @@ func measure(workload string, scale, workers, iters int) (setting, error) {
 	s.CollectionMSPerOp = mean(collS)
 	s.SnapshotMSPerOp = mean(snapS)
 	s.CompactMSPerOp = mean(compS)
-	s.CombineMSPerOp = mean(combS)
 	s.AbsorbMSPerOp = mean(absS)
 	s.FinalizeMSPerOp = mean(finS)
 	return s, nil

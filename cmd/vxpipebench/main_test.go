@@ -1,9 +1,7 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"valueexpert/internal/benchgate"
@@ -70,41 +68,6 @@ func TestGateSkipsUnknownSettings(t *testing.T) {
 	cur := traj(setting{Workers: 8, WallMSPerOp: benchgate.Single(9000)})
 	if failures := gate(&base, cur, 0.25, 3); len(failures) != 0 {
 		t.Fatalf("unknown setting gated: %v", failures)
-	}
-}
-
-// TestLoadBaselineLegacySchema: the pre-grid BENCH_pipeline.json stored
-// bare means; it still loads and still gates.
-func TestLoadBaselineLegacySchema(t *testing.T) {
-	legacy := `{
-  "workload": "Darknet", "scale": 64, "iters": 3,
-  "settings": [
-    {"workers": 0, "depth": 0, "wall_ms_per_op": 300.5, "analysis_ms_per_op": 149.3,
-     "collection_ms_per_op": 5.1, "snapshot_ms_per_op": 20.2},
-    {"workers": 4, "depth": 4, "wall_ms_per_op": 250.0, "analysis_ms_per_op": 73.0}
-  ]
-}`
-	path := filepath.Join(t.TempDir(), "BENCH_pipeline.json")
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base == nil || len(base.Settings) != 2 {
-		t.Fatalf("legacy baseline: %+v", base)
-	}
-	if s := base.Settings[1]; s.WallMSPerOp.Mean != 250 || s.WallMSPerOp.Repeats != 1 || s.WallMSPerOp.Std != 0 {
-		t.Fatalf("legacy mean decoded to %+v", s.WallMSPerOp)
-	}
-
-	cur := traj(setting{Workers: 4,
-		WallMSPerOp:     benchgate.Summarize([]float64{349, 350, 351}),
-		AnalysisMSPerOp: benchgate.Single(70)})
-	failures := gate(base, cur, 0.25, 3)
-	if len(failures) != 1 || !strings.Contains(failures[0].String(), "workers=4 wall_ms_per_op") {
-		t.Fatalf("legacy baseline did not gate: %v", failures)
 	}
 }
 

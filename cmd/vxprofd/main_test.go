@@ -138,11 +138,9 @@ func TestDaemonSmoke(t *testing.T) {
 		}
 	}
 
-	// /metrics exposes the service counters and each session's engine
-	// telemetry. (Fetched through the legacy bare path on purpose: the
-	// default client follows the 308 onto /v1/metrics, proving the old
-	// surface still answers during the deprecation window.)
-	resp, err := http.Get(ts.URL + "/metrics")
+	// /v1/metrics exposes the service counters and each session's engine
+	// telemetry.
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,55 +237,6 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound || e.Error.Code != "unknown_session" {
 		t.Fatalf("unknown session = %d code %q, want 404 unknown_session", resp.StatusCode, e.Error.Code)
-	}
-}
-
-// TestLegacyRedirects pins the deprecation contract: every bare path
-// answers 308 Permanent Redirect onto its /v1 twin, query preserved,
-// while /healthz stays live unversioned.
-func TestLegacyRedirects(t *testing.T) {
-	svc := daemon.NewService()
-	defer svc.Shutdown()
-	ts := httptest.NewServer(svc.Handler(daemon.HandlerConfig{
-		Defaults: smokeDefaults(), Device: "RTX 2080 Ti",
-	}))
-	defer ts.Close()
-
-	noFollow := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
-	for path, want := range map[string]string{
-		"/sessions":                   "/v1/sessions",
-		"/sessions/s-1/report":        "/v1/sessions/s-1/report",
-		"/sessions/s-1/trace":         "/v1/sessions/s-1/trace",
-		"/aggregate":                  "/v1/aggregate",
-		"/metrics":                    "/v1/metrics",
-		"/selftrace":                  "/v1/selftrace",
-		"/sessions/s-1/report?wait=1": "/v1/sessions/s-1/report?wait=1",
-	} {
-		resp, err := noFollow.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("GET %s = %d, want 308", path, resp.StatusCode)
-			continue
-		}
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Errorf("GET %s redirects to %q, want %q", path, loc, want)
-		}
-	}
-
-	resp, err := noFollow.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unversioned /healthz = %d, want 200 (probes must not chase redirects)", resp.StatusCode)
 	}
 }
 
@@ -480,7 +429,7 @@ func TestGracefulSIGTERM(t *testing.T) {
 	}
 	defer proc.Process.Kill()
 
-	resp, err := http.Post(base+"/sessions", "application/json",
+	resp, err := http.Post(base+"/v1/sessions", "application/json",
 		strings.NewReader(`{"workload": "Darknet"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +438,7 @@ func TestGracefulSIGTERM(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&info)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("POST /sessions = %d", resp.StatusCode)
+		t.Fatalf("POST /v1/sessions = %d", resp.StatusCode)
 	}
 
 	if err := proc.Process.Signal(syscall.SIGTERM); err != nil {

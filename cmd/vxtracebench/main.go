@@ -13,7 +13,7 @@
 // measured vs baseline vs allowed, as does the binary encoding falling
 // under the 5x compression floor the format exists to provide (both
 // checks are size-based, so the gate is deterministic and the noise
-// bound never fires). Legacy single-mean baseline files keep gating.
+// bound never fires).
 //
 // Usage:
 //
@@ -56,7 +56,7 @@ type result struct {
 	// Exact, deterministic size metrics — what the gate compares.
 	// BytesPerAccess is a benchgate.Stat for schema parity with the other
 	// baseline files; the measurement is exact, so it is a single sample
-	// with zero spread (and legacy bare-number files still load).
+	// with zero spread.
 	BinaryBytes      int            `json:"binary_bytes"`
 	JSONLBytes       int            `json:"jsonl_bytes"`
 	BytesPerAccess   benchgate.Stat `json:"bytes_per_access"`

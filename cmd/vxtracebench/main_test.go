@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -55,33 +54,6 @@ func TestGateWithinTolerancePasses(t *testing.T) {
 	cur := res(benchgate.Single(12), 8)
 	if failures := gate(&base, cur, 0.25, 3); len(failures) != 0 {
 		t.Fatalf("within-tolerance growth gated: %v", failures)
-	}
-}
-
-// TestLoadBaselineLegacySchema: the pre-grid BENCH_trace.json stored
-// bytes_per_access as a bare number; it still loads and still gates.
-func TestLoadBaselineLegacySchema(t *testing.T) {
-	legacy := `{
-  "workload": "Darknet", "scale": 64, "iters": 3,
-  "events": 16, "accesses": 190512,
-  "binary_bytes": 1043278, "jsonl_bytes": 9300000,
-  "bytes_per_access": 5.48, "compression_ratio": 8.9,
-  "encode_mb_per_s": {}, "decode_mb_per_s": {}
-}`
-	path := filepath.Join(t.TempDir(), "BENCH_trace.json")
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base == nil || base.BytesPerAccess.Mean != 5.48 || base.BytesPerAccess.Repeats != 1 {
-		t.Fatalf("legacy baseline decoded to %+v", base)
-	}
-	failures := gate(base, res(benchgate.Single(9.5), 8), 0.25, 3)
-	if len(failures) != 1 || !strings.Contains(failures[0].String(), "bytes_per_access") {
-		t.Fatalf("legacy baseline did not gate: %v", failures)
 	}
 }
 

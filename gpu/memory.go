@@ -86,7 +86,7 @@ func (m *Memory) Alloc(size uint64, tag string) (*Allocation, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("gpu: zero-size allocation (tag %q)", tag)
 	}
-	if m.used+size > m.limit {
+	if size > m.limit-m.used {
 		return nil, fmt.Errorf("gpu: out of device memory: %d bytes requested, %d free (tag %q)",
 			size, m.limit-m.used, tag)
 	}
@@ -126,7 +126,7 @@ func (m *Memory) AllocAt(id int, addr, size uint64, tag string) (*Allocation, er
 	if addr < SharedBase+SharedSize && addr+size > SharedBase {
 		return nil, fmt.Errorf("gpu: pinned allocation [%#x,+%d) overlaps the shared window (tag %q)", addr, size, tag)
 	}
-	if m.used+size > m.limit {
+	if size > m.limit-m.used {
 		return nil, fmt.Errorf("gpu: out of device memory: %d bytes requested, %d free (tag %q)",
 			size, m.limit-m.used, tag)
 	}

@@ -43,12 +43,23 @@ func TestAllocFreeLookup(t *testing.T) {
 }
 
 func TestAllocExhaustion(t *testing.T) {
-	m := NewMemory(1024)
-	if _, err := m.Alloc(2048, "big"); err == nil {
-		t.Fatal("oversize allocation succeeded")
+	m := NewMemory(1 << 20)
+	if _, err := m.Alloc(1<<15, "resident"); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := m.Alloc(0, "empty"); err == nil {
-		t.Fatal("zero-size allocation succeeded")
+	for _, tc := range []struct {
+		name string
+		size uint64
+	}{
+		{"oversize", 1 << 21},
+		{"zero size", 0},
+		// used+size wraps to a small number, which a naive capacity sum
+		// would admit before failing in makeslice.
+		{"used+size wraps", 18446744073709535232},
+	} {
+		if _, err := m.Alloc(tc.size, tc.name); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

@@ -9,33 +9,26 @@
 // regression that clears the tolerance, because the tolerance bound is
 // computed from the baseline mean alone.
 //
-// The Stat type is the gated unit. Its JSON form carries mean, std,
-// min/max, and the repeat count, but it also unmarshals from a bare
-// number — the pre-grid BENCH_*.json schema stored single means — so old
-// baseline files keep gating (as one run with zero spread) until the
-// next refresh rewrites them in the new schema.
+// The Stat type is the gated unit. Its JSON form is an object carrying
+// mean, std, min/max, and the repeat count.
 package benchgate
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Stat is one gated metric: the mean of the runs behind it plus their
-// dispersion. A legacy single-mean value is a Stat with Repeats == 1 and
-// zero Std.
+// dispersion.
 type Stat struct {
-	Mean    float64
-	Std     float64
-	Min     float64
-	Max     float64
-	Repeats int
+	Mean    float64 `json:"mean"`
+	Std     float64 `json:"std"`
+	Min     float64 `json:"min"`
+	Max     float64 `json:"max"`
+	Repeats int     `json:"repeats"`
 }
 
-// Single wraps one deterministic measurement (or a legacy mean) as a
-// Stat with no spread.
+// Single wraps one deterministic measurement as a Stat with no spread.
 func Single(v float64) Stat { return Stat{Mean: v, Min: v, Max: v, Repeats: 1} }
 
 // Summarize reduces repeated samples to their Stat. The standard
@@ -60,41 +53,6 @@ func Summarize(samples []float64) Stat {
 	}
 	s.Std = math.Sqrt(sq / float64(len(samples)))
 	return s
-}
-
-// statJSON is the object form of the on-disk schema.
-type statJSON struct {
-	Mean    float64 `json:"mean"`
-	Std     float64 `json:"std"`
-	Min     float64 `json:"min"`
-	Max     float64 `json:"max"`
-	Repeats int     `json:"repeats"`
-}
-
-// MarshalJSON writes the full object form; new baseline files always
-// carry the spread.
-func (s Stat) MarshalJSON() ([]byte, error) {
-	return json.Marshal(statJSON{s.Mean, s.Std, s.Min, s.Max, s.Repeats})
-}
-
-// UnmarshalJSON accepts either the object form or a legacy bare number
-// (a single recorded mean with no spread).
-func (s *Stat) UnmarshalJSON(data []byte) error {
-	trimmed := strings.TrimSpace(string(data))
-	if trimmed != "" && trimmed[0] != '{' {
-		var v float64
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		*s = Single(v)
-		return nil
-	}
-	var obj statJSON
-	if err := json.Unmarshal(data, &obj); err != nil {
-		return err
-	}
-	*s = Stat{obj.Mean, obj.Std, obj.Min, obj.Max, obj.Repeats}
-	return nil
 }
 
 // FailureKind classifies what a gate failure means.

@@ -167,35 +167,28 @@ func TestFailureDiffFormat(t *testing.T) {
 	}
 }
 
-// TestStatJSONLegacy: the old BENCH_*.json schema stored bare numbers;
-// they still load, as single runs with no spread, and re-marshal in the
-// object form.
+// TestStatJSONLegacy: the retired single-mean schema stored bare
+// numbers; they are now rejected rather than gating as a spread-free
+// run, and a Stat round-trips through the object form unchanged.
 func TestStatJSONLegacy(t *testing.T) {
-	var s Stat
-	if err := json.Unmarshal([]byte("149.37"), &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean != 149.37 || s.Std != 0 || s.Repeats != 1 || s.Min != 149.37 || s.Max != 149.37 {
-		t.Fatalf("legacy number decoded to %+v", s)
-	}
-
-	// A legacy baseline still gates: regressing past tolerance fails.
-	g := &Gate{Tolerance: 0.25, K: 3}
-	g.Compare("workers=0", "wall_ms", s, Summarize([]float64{200, 201, 202}))
-	if g.OK() {
-		t.Fatal("legacy single-mean baseline did not gate")
-	}
-
-	out, err := json.Marshal(Summarize([]float64{1, 2, 3}))
+	want := Summarize([]float64{1, 2, 3})
+	out, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(out), `{"mean":2,"std":`) || !strings.HasSuffix(string(out), `"min":1,"max":3,"repeats":3}`) {
+		t.Fatalf("object form: %s", out)
 	}
 	var round Stat
 	if err := json.Unmarshal(out, &round); err != nil {
 		t.Fatal(err)
 	}
-	if round != Summarize([]float64{1, 2, 3}) {
+	if round != want {
 		t.Fatalf("object round trip: %s → %+v", out, round)
+	}
+	var s Stat
+	if err := json.Unmarshal([]byte("149.37"), &s); err == nil {
+		t.Fatal("bare number accepted as Stat")
 	}
 }
 

@@ -132,20 +132,6 @@ type LaunchAnalysis interface {
 	Absorb(pt Partial)
 }
 
-// PartialCombiner is the optional LaunchAnalysis extension for stages
-// whose partials can be pre-folded off the collector's critical path.
-// Combine folds second — the partial of the batch flushed immediately
-// after first's — into first and returns the combined partial;
-// Absorb(Combine(first, second)) must leave the accumulator bit-identical
-// to Absorb(first); Absorb(second). The engine only combines adjacent
-// partials in flush order, never reorders them, and runs Combine on a
-// single goroutine, so implementations need no locking. A stage whose
-// fold is not exactly associative simply doesn't implement the interface
-// and keeps the strictly serial absorb path.
-type PartialCombiner interface {
-	Combine(first, second Partial) Partial
-}
-
 // Env is the engine state handed to an AnalysisFactory: the pieces a
 // stage may need to resolve addresses, intern call paths, or share the
 // coarse stage's value flow graph.

@@ -409,27 +409,6 @@ func (la *coarseLaunch) Absorb(pt Partial) {
 	}
 }
 
-// Combine folds the next batch's partial into this one off the
-// collector's critical path: per-object interval appends and additive
-// counters, so absorbing the combined partial is bit-identical to the
-// two sequential absorbs.
-func (*coarseLaunch) Combine(first, second Partial) Partial {
-	a, b := first.(*coarsePartial), second.(*coarsePartial)
-	for id, ivs := range b.readIvs {
-		a.readIvs[id] = append(a.readIvs[id], ivs...)
-	}
-	for id, ivs := range b.writeIvs {
-		a.writeIvs[id] = append(a.writeIvs[id], ivs...)
-	}
-	for id, n := range b.readB {
-		a.readB[id] += n
-	}
-	for id, n := range b.writeB {
-		a.writeB[id] += n
-	}
-	return a
-}
-
 // LaunchEnd finalizes a launch: the "data processing kernel" runs the
 // parallel interval merge over each written object's accumulated
 // intervals, snapshots are refreshed over the merged ranges, and the

@@ -7,7 +7,6 @@ import (
 
 	"valueexpert/cuda"
 	"valueexpert/gpu"
-	"valueexpert/internal/parallel"
 	"valueexpert/internal/profile"
 	"valueexpert/internal/vpattern"
 )
@@ -27,16 +26,12 @@ type fineStage struct {
 	// in place (arena histograms and dense tables keep their
 	// allocations), so the steady-state compact path allocates nothing.
 	shards sync.Pool
-	// chunks executes intra-batch sub-shard compaction; its width bounds
-	// how many record ranges one large batch splits into.
-	chunks *parallel.Pool
 }
 
 func newFineStage(env Env) *fineStage {
 	s := &fineStage{
-		cfg:    env.Cfg.FineConfig,
-		regs:   vpattern.FineDetectors(env.Patterns),
-		chunks: parallel.NewPool(0),
+		cfg:  env.Cfg.FineConfig,
+		regs: vpattern.FineDetectors(env.Patterns),
 	}
 	s.shards.New = func() any {
 		cfg := s.cfg
@@ -51,12 +46,8 @@ func (s *fineStage) getShard() *vpattern.FineAccumulator {
 	return s.shards.Get().(*vpattern.FineAccumulator)
 }
 
-// putShard resets a shard — and any shards pre-combined into it — in
-// place and returns them to the pool.
+// putShard resets a shard in place and returns it to the pool.
 func (s *fineStage) putShard(sh *vpattern.FineAccumulator) {
-	for _, p := range sh.TakePending() {
-		s.putShard(p)
-	}
 	sh.Reset()
 	s.shards.Put(sh)
 }
@@ -81,77 +72,17 @@ func (s *fineStage) LaunchBegin(string) LaunchAnalysis {
 	return &fineLaunch{st: s, acc: vpattern.NewFineAccumulatorWith(s.cfg, s.regs)}
 }
 
-// fineChunkRecords is the record-range granularity of intra-batch chunked
-// compaction: small enough that a 2-batch workload still spreads over
-// several workers, large enough that sub-shard fold overhead stays noise.
-const fineChunkRecords = 4096
-
-// addMode selects which detector set one record walk feeds.
-type addMode uint8
-
-const (
-	// modeFull is the sequential path: shared context + every detector.
-	modeFull addMode = iota
-	// modeAssoc feeds sub-shards: shared context + exactly-mergeable
-	// detectors; the order-sensitive ones are fed by a later modeOrder
-	// pass over the whole batch.
-	modeAssoc
-	// modeOrder is that sequential whole-batch pass: order-sensitive
-	// detectors only.
-	modeOrder
-)
-
 // Compact accumulates the batch's values into an independent uncapped
 // shard running the same detector lineup. The shard must not saturate:
 // the master re-applies the configured cap during the in-order merge,
 // reproducing global first-occurrence eviction exactly (see
 // FineAccumulator.Merge).
-//
-// Large pipelined batches additionally chunk *within* the batch:
-// record-range sub-shards compact concurrently on the parallel pool and
-// fold into the batch shard in range order — bit-identical to the
-// sequential walk, because the insertion-ordered fold reproduces the
-// batch's first-occurrence order and only exactly-mergeable detectors
-// participate (the order-sensitive ones observe the whole batch
-// sequentially afterwards).
 func (la *fineLaunch) Compact(b *Batch) Partial {
-	st := la.st
-	shard := st.getShard()
-	n := len(b.Recs)
-	if !b.Yield || st.chunks.Workers() <= 1 || n < 2*fineChunkRecords {
-		addRecords(shard, b, 0, n, modeFull)
-		return shard
-	}
-	nChunks := (n + fineChunkRecords - 1) / fineChunkRecords
-	subs := make([]*vpattern.FineAccumulator, nChunks)
-	st.chunks.Run(nChunks, func(c int) {
-		lo := c * fineChunkRecords
-		hi := lo + fineChunkRecords
-		if hi > n {
-			hi = n
-		}
-		sub := st.getShard()
-		addRecords(sub, b, lo, hi, modeAssoc)
-		subs[c] = sub
-	})
-	for _, sub := range subs {
-		shard.FoldAssoc(sub)
-		st.putShard(sub)
-	}
-	if shard.OrderSensitive() {
-		addRecords(shard, b, 0, n, modeOrder)
-	}
-	return shard
-}
-
-// addRecords walks records [lo, hi), expanding compacted range records,
-// and feeds each element access to the shard under the given mode.
-func addRecords(shard *vpattern.FineAccumulator, b *Batch, lo, hi int, mode addMode) {
-	for i := lo; i < hi; i++ {
+	shard := la.st.getShard()
+	for i, a := range b.Recs {
 		if b.Yield && i%yieldStride == 0 {
 			runtime.Gosched()
 		}
-		a := b.Recs[i]
 		id := b.IDs[i]
 		if id < 0 {
 			continue
@@ -164,7 +95,7 @@ func addRecords(shard *vpattern.FineAccumulator, b *Batch, lo, hi int, mode addM
 			if a.Store {
 				for e := 0; e < a.Elems(); e++ {
 					elem.Addr = a.Addr + uint64(e)*uint64(a.Size)
-					addOne(shard, mode, id, elem)
+					shard.Add(id, elem)
 				}
 			} else if vals := b.RangeVal(i); vals != nil {
 				for e := 0; e < a.Elems(); e++ {
@@ -175,41 +106,22 @@ func addRecords(shard *vpattern.FineAccumulator, b *Batch, lo, hi int, mode addM
 						continue // unsupported width: rejected upstream, skip defensively
 					}
 					elem.Raw = raw
-					addOne(shard, mode, id, elem)
+					shard.Add(id, elem)
 				}
 			}
 		} else {
-			addOne(shard, mode, id, a)
+			shard.Add(id, a)
 		}
 	}
-}
-
-func addOne(shard *vpattern.FineAccumulator, mode addMode, id int, a gpu.Access) {
-	switch mode {
-	case modeFull:
-		shard.Add(id, a)
-	case modeAssoc:
-		shard.AddAssoc(id, a)
-	default:
-		shard.ObserveOrderSensitive(id, a)
-	}
+	return shard
 }
 
 // Absorb merges a shard in flush order, re-applying the value cap, then
-// recycles the shard (and anything pre-combined into it) to the pool.
+// recycles the shard to the pool.
 func (la *fineLaunch) Absorb(pt Partial) {
 	shard := pt.(*vpattern.FineAccumulator)
 	la.acc.Merge(shard)
 	la.st.putShard(shard)
-}
-
-// Combine pre-folds the next batch's shard into this one off the
-// collector's critical path; non-associative detector state rides along
-// and is replayed in flush order by Merge (see FineAccumulator.Combine).
-func (la *fineLaunch) Combine(first, second Partial) Partial {
-	a := first.(*vpattern.FineAccumulator)
-	a.Combine(second.(*vpattern.FineAccumulator))
-	return a
 }
 
 // LaunchEnd finalizes the launch's per-object pattern reports.

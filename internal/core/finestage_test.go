@@ -2,12 +2,9 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
-	"sync"
 	"testing"
 
 	"valueexpert/gpu"
-	"valueexpert/internal/parallel"
 )
 
 // testFineBatch synthesizes a resolved batch of n records over a handful
@@ -53,45 +50,4 @@ func TestFineCompactAllocsFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
 		t.Fatalf("fine compact+absorb allocated %.1f times per warmed batch, want 0", allocs)
 	}
-}
-
-// TestChunkedCompactMatchesSequential: a large Yield batch compacted
-// through concurrent record-range sub-shards must finalize identically to
-// the sequential walk of the same records. Run under -race this also
-// exercises the sub-shard helpers and the shard pool concurrently —
-// including two launches chunk-compacting at once.
-func TestChunkedCompactMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	n := 3*fineChunkRecords + 123
-	b := testFineBatch(rng, n)
-
-	seqStage := newTestFineStage()
-	seqLa := seqStage.LaunchBegin("k").(*fineLaunch)
-	seqLa.Absorb(seqLa.Compact(b))
-	want := seqLa.acc.Finalize()
-
-	chunked := newTestFineStage()
-	// A private wide scheduler so chunk helpers exist even on one CPU.
-	chunked.chunks = parallel.NewPoolOn(parallel.NewScheduler(4), 4)
-	b.Yield = true
-	defer func() { b.Yield = false }()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			la := chunked.LaunchBegin("k").(*fineLaunch)
-			for round := 0; round < 3; round++ { // reuse pooled shards across rounds
-				la.acc.Reset()
-				la.Absorb(la.Compact(b))
-				got := la.acc.Finalize()
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("round %d: chunked compact diverged from sequential", round)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -3,14 +3,12 @@
 // sanitizer cycles PipelineDepth flush buffers through a bounded hand-off
 // queue; AnalysisWorkers workers compact each flushed batch into
 // independent per-stage partials (recycling the record buffer the moment
-// compaction ends, so buffers never wait on absorption); a pre-combiner
-// pairs adjacent partials in flush order and folds the exactly-mergeable
-// stages off the critical path; and a single ordered collector absorbs
-// what remains in flush order, so the merged state — and therefore the
-// emitted report — is byte-identical for every worker/depth setting.
-// Synchronous analysis is the degenerate pipeline: with zero workers the
-// same submit path compacts and absorbs inline on the kernel-execution
-// goroutine.
+// compaction ends, so buffers never wait on absorption); and a single
+// ordered collector absorbs the partials in flush order, so the merged
+// state — and therefore the emitted report — is byte-identical for every
+// worker/depth setting. Synchronous analysis is the degenerate pipeline:
+// with zero workers the same submit path compacts and absorbs inline on
+// the kernel-execution goroutine.
 package core
 
 import (
@@ -23,25 +21,16 @@ import (
 
 // pendingBatch pairs a submitted batch with the slot its per-stage
 // partials arrive in. The pending queue holds these in submission order,
-// which is what makes out-of-order workers safe: the pre-combiner waits
-// on each slot in turn.
+// which is what makes out-of-order workers safe: the collector waits on
+// each slot in turn.
 type pendingBatch struct {
 	b    *Batch
 	done chan []Partial
 }
 
-// combinedUnit is the pre-combiner's output: one or two batches' partials
-// ready for in-order absorption. For a fully combinable stage set rest is
-// nil and the collector absorbs one folded partial per pair; stages
-// without a combiner keep their second partial in rest, absorbed right
-// after first — still in flush order.
-type combinedUnit struct {
-	first, rest []Partial
-}
-
 // pipeline runs every registered stage's analysis for one instrumented
-// launch. With workers it owns a compaction worker pool, the pre-combiner
-// and an ordered collector; without, it executes inline.
+// launch. With workers it owns a compaction worker pool and an ordered
+// collector; without, it executes inline.
 type pipeline struct {
 	p  *Profiler
 	ls *launchState
@@ -49,7 +38,6 @@ type pipeline struct {
 	// work and pending are nil in inline mode.
 	work    chan *pendingBatch
 	pending chan *pendingBatch
-	ready   chan combinedUnit
 	workers sync.WaitGroup
 	// collected closes when the collector has absorbed every pending batch.
 	collected chan struct{}
@@ -59,7 +47,7 @@ type pipeline struct {
 // newPipeline builds the execution path for launch state ls: an inline
 // executor when workers <= 0, else workers compaction workers — each
 // leasing a slot from the shared scheduler around every batch — plus the
-// pre-combiner and the ordered collector.
+// ordered collector.
 func (p *Profiler) newPipeline(ls *launchState, workers, depth int) *pipeline {
 	pl := &pipeline{p: p, ls: ls}
 	if workers <= 0 {
@@ -67,7 +55,6 @@ func (p *Profiler) newPipeline(ls *launchState, workers, depth int) *pipeline {
 	}
 	pl.work = make(chan *pendingBatch, depth)
 	pl.pending = make(chan *pendingBatch, depth)
-	pl.ready = make(chan combinedUnit, depth)
 	pl.collected = make(chan struct{})
 	for i := 0; i < workers; i++ {
 		pl.workers.Add(1)
@@ -92,70 +79,16 @@ func (p *Profiler) newPipeline(ls *launchState, workers, depth int) *pipeline {
 			}
 		}()
 	}
-	// Pre-combiner: receives partials in flush order and folds adjacent
-	// pairs for every stage implementing PartialCombiner, shrinking the
-	// collector's serial absorb to half the merges. Pairing is strictly
-	// consecutive (batch 2k with 2k+1), so the fold order — and with it
-	// the merged state — never depends on scheduling.
-	combine := make([]PartialCombiner, len(ls.stages))
-	for i, la := range ls.stages {
-		if c, ok := la.(PartialCombiner); ok {
-			combine[i] = c
-		}
-	}
-	combinerLane := telemetry.LaneWorker0 + workers
-	go func() {
-		defer close(pl.ready)
-		for pb := range pl.pending {
-			first := <-pb.done
-			pb2, ok := <-pl.pending
-			if !ok {
-				pl.ready <- combinedUnit{first: first}
-				return
-			}
-			second := <-pb2.done
-			sp := p.tel.Span(combinerLane, "analysis", "combine")
-			unit := p.combinePartials(combine, first, second)
-			sp.End()
-			pl.ready <- unit
-		}
-	}()
 	go func() {
 		defer close(pl.collected)
-		for unit := range pl.ready {
+		for pb := range pl.pending {
+			parts := <-pb.done
 			sp := p.tel.Span(telemetry.LaneCollector, "analysis", "absorb")
-			p.absorbAll(pl.ls, unit.first)
-			if unit.rest != nil {
-				p.absorbAll(pl.ls, unit.rest)
-			}
+			p.absorbAll(pl.ls, parts)
 			sp.End()
 		}
 	}()
 	return pl
-}
-
-// combinePartials folds second's partials into first's for every
-// combinable stage; whatever can't combine stays in rest, absorbed right
-// after first.
-func (p *Profiler) combinePartials(combine []PartialCombiner, first, second []Partial) combinedUnit {
-	rest := false
-	for i := range first {
-		if second[i] == nil {
-			continue
-		}
-		if combine[i] != nil && first[i] != nil {
-			sw := p.probes.combine[i].Start()
-			first[i] = combine[i].Combine(first[i], second[i])
-			sw.Stop()
-			second[i] = nil
-		} else {
-			rest = true
-		}
-	}
-	if !rest {
-		return combinedUnit{first: first}
-	}
-	return combinedUnit{first: first, rest: second}
 }
 
 // submit hands one flushed batch to the pipeline. Called on the

@@ -61,13 +61,6 @@ func (la *reuseLaunch) Absorb(pt Partial) {
 	}
 }
 
-// Combine concatenates adjacent batches' touch sequences — trivially
-// order-preserving, so absorbing the combined sequence replays exactly
-// the two sequential absorbs.
-func (*reuseLaunch) Combine(first, second Partial) Partial {
-	return append(first.([]uint64), second.([]uint64)...)
-}
-
 // LaunchEnd emits the launch's histogram.
 func (s *reuseStage) LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis) {
 	if la == nil {

@@ -32,11 +32,10 @@ type engineProbes struct {
 	// occupancy samples the pending-batch queue length at each submit.
 	occupancy *telemetry.Gauge
 
-	// compact/combine/absorb/finalize/batches instrument each stage's
-	// pipeline work: worker-side compaction, the pre-combiner's pairwise
-	// folds, the collector's serial absorbs, and launch-end finalization.
+	// compact/absorb/finalize/batches instrument each stage's pipeline
+	// work: worker-side compaction, the collector's serial absorbs, and
+	// launch-end finalization.
 	compact  []*telemetry.Timer
-	combine  []*telemetry.Timer
 	absorb   []*telemetry.Timer
 	finalize []*telemetry.Timer
 	batches  []*telemetry.Counter
@@ -61,7 +60,6 @@ func (p *Profiler) initTelemetry() {
 	n := len(p.stages)
 	p.probes = engineProbes{
 		compact:  make([]*telemetry.Timer, n),
-		combine:  make([]*telemetry.Timer, n),
 		absorb:   make([]*telemetry.Timer, n),
 		finalize: make([]*telemetry.Timer, n),
 		batches:  make([]*telemetry.Counter, n),
@@ -84,7 +82,6 @@ func (p *Profiler) initTelemetry() {
 	}
 	for i, st := range p.stages {
 		p.probes.compact[i] = tel.Timer("stage." + st.Name() + ".compact")
-		p.probes.combine[i] = tel.Timer("stage." + st.Name() + ".combine")
 		p.probes.absorb[i] = tel.Timer("stage." + st.Name() + ".absorb")
 		p.probes.finalize[i] = tel.Timer("stage." + st.Name() + ".finalize")
 		p.probes.batches[i] = tel.Counter("stage." + st.Name() + ".batches")
@@ -103,9 +100,6 @@ func (p *Profiler) initTelemetry() {
 	tel.DeclareLane(telemetry.LaneCollector, "collector")
 	for i := 0; i < p.cfg.AnalysisWorkers; i++ {
 		tel.DeclareLane(telemetry.LaneWorker0+i, fmt.Sprintf("analysis worker %d", i))
-	}
-	if p.cfg.AnalysisWorkers > 0 {
-		tel.DeclareLane(telemetry.LaneWorker0+p.cfg.AnalysisWorkers, "pre-combiner")
 	}
 }
 

@@ -14,11 +14,7 @@
 //	GET    /v1/metrics              service + per-session telemetry metrics
 //	GET    /v1/selftrace            shared Perfetto self-trace (all sessions)
 //
-// The pre-versioning bare paths (/sessions, /aggregate, …) answer with
-// 308 Permanent Redirect to their /v1 twins for one release — 308
-// preserves method and body, so an old `curl -X POST /sessions` client
-// keeps working through the window. /healthz stays live unversioned
-// forever (load-balancer probes should not chase redirects).
+// /healthz also answers unversioned, for load-balancer probes.
 //
 // Errors share one typed envelope — {"error": {code, message, field}} —
 // with the stable codes defined in errors.go; admission rejections are
@@ -57,7 +53,7 @@ type HandlerConfig struct {
 }
 
 // Handler builds the service's HTTP handler: the /v1 API plus the
-// legacy-path redirects.
+// unversioned liveness probe.
 func (s *Service) Handler(hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	healthz := func(w http.ResponseWriter, r *http.Request) {
@@ -70,7 +66,7 @@ func (s *Service) Handler(hc HandlerConfig) http.Handler {
 		})
 	}
 	mux.HandleFunc("GET /v1/healthz", healthz)
-	// Unversioned liveness stays: probes should not follow redirects.
+	// Unversioned liveness stays for load-balancer probes.
 	mux.HandleFunc("GET /healthz", healthz)
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		infos := []Info{}
@@ -115,20 +111,6 @@ func (s *Service) Handler(hc HandlerConfig) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		s.trace.WriteJSON(w)
 	})
-
-	// Legacy bare paths: one release of 308s (method- and
-	// body-preserving) onto the /v1 twins. See DESIGN.md §11 for the
-	// deprecation window.
-	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		u := *r.URL
-		u.Path = "/v1" + u.Path
-		http.Redirect(w, r, u.String(), http.StatusPermanentRedirect)
-	})
-	mux.Handle("/sessions", legacy)
-	mux.Handle("/sessions/", legacy)
-	mux.Handle("/aggregate", legacy)
-	mux.Handle("/metrics", legacy)
-	mux.Handle("/selftrace", legacy)
 	return mux
 }
 

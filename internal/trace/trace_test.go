@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -189,5 +190,32 @@ func TestReplayErrors(t *testing.T) {
 	bad := `{"kind":"malloc","name":"cudaMalloc","bytes":64,"dst":1234,"tag":"x"}` + "\n"
 	if err := Replay(strings.NewReader(bad), gpu.A100, nil); err == nil {
 		t.Fatal("allocator divergence not detected")
+	}
+}
+
+// TestReplayRejectsWrappingMalloc: a malloc whose size makes the
+// allocator's used+size sum wrap must come back from replay as a typed
+// out-of-memory error in either encoding, not panic in makeslice.
+func TestReplayRejectsWrappingMalloc(t *testing.T) {
+	events := []*Event{
+		{Kind: kindMalloc, Name: "cudaMalloc", Dst: gpu.GlobalBase, Bytes: 1 << 16, Tag: "resident"},
+		{Kind: kindMalloc, Name: "cudaMalloc", Dst: gpu.GlobalBase + 1<<16, Bytes: 18446744073709535232, Tag: "hostile"},
+	}
+	for _, f := range []Format{FormatJSONL, FormatBinary} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, f)
+		for _, e := range events {
+			if err := w.WriteEvent(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		err := Replay(&buf, gpu.RTX2080Ti, nil)
+		var cerr *cuda.Error
+		if !errors.As(err, &cerr) || cerr.Code != cuda.ErrOOM {
+			t.Fatalf("format %v: replay error = %v, want a *cuda.Error with code %v", f, err, cuda.ErrOOM)
+		}
 	}
 }

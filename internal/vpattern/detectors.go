@@ -107,8 +107,7 @@ type heavyState struct {
 }
 
 // heavyTypeDetector recognizes Def 3.6: values declared wide but
-// narrow-representable. Min/max and flag folds are exactly associative,
-// so its partials pre-combine (ExactMerge).
+// narrow-representable. Partials merge by min/max and flag folds.
 type heavyTypeDetector struct {
 	objs table[heavyState]
 }
@@ -272,9 +271,8 @@ type structState struct {
 
 // structuredDetector recognizes Def 3.7: linear value↔address correlation.
 // Its Merge rebases float sums (shift terms), which is NOT bitwise
-// associative — the registration leaves ExactMerge unset, so the engine
-// always feeds it whole batches sequentially and merges partials strictly
-// in flush order.
+// associative, so it relies on the engine merging one partial per whole
+// batch, strictly in flush order.
 type structuredDetector struct {
 	cfg  FineConfig
 	objs table[structState]
@@ -382,7 +380,7 @@ func (d *structuredDetector) Finalize(objID int, _ *ObjectShared) (Match, bool) 
 // approxDetector recognizes Def 3.8: mantissa truncation exposes a
 // single/frequent pattern the exact histogram does not. Per-object state
 // exists only for objects that saw float values. Histogram folds replay
-// insertion order, which is exactly associative (ExactMerge).
+// insertion order.
 type approxDetector struct {
 	cfg  FineConfig
 	objs table[valueHist]

@@ -398,20 +398,7 @@ type FineAccumulator struct {
 	cfg  FineConfig
 	regs []Registration
 	dets []Detector
-	// assocDets and naDets split dets by Registration.ExactMerge, so the
-	// per-access fan-out and the combine machinery never test flags: the
-	// exactly-mergeable detectors can fold in any association, the
-	// order-sensitive rest only ever observe whole batches sequentially
-	// and merge strictly in flush order.
-	assocDets []Detector
-	naDets    []Detector
-	objs      table[ObjectShared]
-
-	// pending holds shards combined into this one (Combine) whose
-	// order-sensitive detector state could not be pre-folded; Merge
-	// replays them in flush order and TakePending hands them back to the
-	// engine's shard pool.
-	pending []*FineAccumulator
+	objs table[ObjectShared]
 }
 
 // NewFineAccumulator creates an accumulator running every fine-grained
@@ -428,21 +415,7 @@ func NewFineAccumulatorWith(cfg FineConfig, regs []Registration) *FineAccumulato
 	for i, r := range regs {
 		fa.dets[i] = r.New(fa.cfg)
 	}
-	fa.splitDetectors()
 	return fa
-}
-
-// splitDetectors rebuilds the assoc/order-sensitive views over dets.
-func (fa *FineAccumulator) splitDetectors() {
-	fa.assocDets = fa.assocDets[:0]
-	fa.naDets = fa.naDets[:0]
-	for i, r := range fa.regs {
-		if r.ExactMerge {
-			fa.assocDets = append(fa.assocDets, fa.dets[i])
-		} else {
-			fa.naDets = append(fa.naDets, fa.dets[i])
-		}
-	}
 }
 
 // NewShard creates an empty accumulator with the same detector lineup and
@@ -475,38 +448,10 @@ func (fa *FineAccumulator) addShared(objID int, a gpu.Access) {
 // Add records one access belonging to the data object objID.
 func (fa *FineAccumulator) Add(objID int, a gpu.Access) {
 	fa.addShared(objID, a)
-	for _, d := range fa.assocDets {
-		d.Observe(objID, a)
-	}
-	for _, d := range fa.naDets {
+	for _, d := range fa.dets {
 		d.Observe(objID, a)
 	}
 }
-
-// AddAssoc records one access into the shared context and the
-// exactly-mergeable detectors only — the per-record work of an intra-batch
-// sub-shard. The order-sensitive detectors must then observe the whole
-// batch sequentially (ObserveOrderSensitive) on the shard the sub-shards
-// fold into, so their state is built by exactly the per-batch sequential
-// pass their Merge contract assumes.
-func (fa *FineAccumulator) AddAssoc(objID int, a gpu.Access) {
-	fa.addShared(objID, a)
-	for _, d := range fa.assocDets {
-		d.Observe(objID, a)
-	}
-}
-
-// ObserveOrderSensitive feeds one access to the order-sensitive detectors
-// only — the sequential whole-batch pass paired with AddAssoc.
-func (fa *FineAccumulator) ObserveOrderSensitive(objID int, a gpu.Access) {
-	for _, d := range fa.naDets {
-		d.Observe(objID, a)
-	}
-}
-
-// OrderSensitive reports whether the lineup contains detectors that
-// require the sequential whole-batch pass.
-func (fa *FineAccumulator) OrderSensitive() bool { return len(fa.naDets) > 0 }
 
 // foldShared replays other's shared per-object state into fa in insertion
 // order — identical saturation decisions to a sequential pass over fa's
@@ -527,62 +472,18 @@ func (fa *FineAccumulator) foldShared(other *FineAccumulator) {
 	}
 }
 
-// FoldAssoc folds an intra-batch sub-shard built with AddAssoc into fa:
-// the shared context and the exactly-mergeable detectors. Sub-shards fold
-// in record-range order, reproducing the batch's sequential insertion
-// order; the order-sensitive detectors are untouched (they never observed
-// the sub-shard's records).
-func (fa *FineAccumulator) FoldAssoc(sub *FineAccumulator) {
-	fa.foldShared(sub)
-	for i, d := range fa.assocDets {
-		d.Merge(sub.assocDets[i])
-	}
-}
-
-// Combine pre-folds shard other — the batch flushed immediately after
-// fa's — into fa, off the collector's critical path. Everything exactly
-// mergeable (shared context, ExactMerge detectors) folds now; the
-// order-sensitive detectors' merges are deferred: other rides along in
-// fa.pending and Merge replays it in flush order, so the master's state
-// stays bit-identical to absorbing the two shards separately.
-func (fa *FineAccumulator) Combine(other *FineAccumulator) {
-	fa.foldShared(other)
-	for i, d := range fa.assocDets {
-		d.Merge(other.assocDets[i])
-	}
-	fa.pending = append(fa.pending, other)
-	fa.pending = append(fa.pending, other.pending...)
-	other.pending = other.pending[:0]
-}
-
-// TakePending returns and clears the shards combined into fa whose
-// order-sensitive detector state was deferred; after Merge(fa) the engine
-// recycles them alongside fa itself.
-func (fa *FineAccumulator) TakePending() []*FineAccumulator {
-	p := fa.pending
-	fa.pending = fa.pending[:0]
-	return p
-}
-
 // Merge folds a partial accumulator into fa, producing exactly the state a
 // single accumulator would hold after ingesting fa's access stream followed
-// by other's (and, in order, any shards Combined into other). Pipelined
-// analysis builds one uncapped partial per flushed batch on worker
-// goroutines (shard pool) and merges them here in batch order, so the
-// merged state — and hence the finalized report — is independent of worker
-// count and scheduling. Merge requires other to run the same detector
+// by other's. Pipelined analysis builds one uncapped partial per flushed
+// batch on worker goroutines (shard pool) and merges them here in batch
+// order, so the merged state — and hence the finalized report — is
+// independent of worker count and scheduling. Merge requires other to run the same detector
 // lineup; it reads other's state without consuming it, leaving the shard
 // to the engine's pool (Reset) or the collector's discard.
 func (fa *FineAccumulator) Merge(other *FineAccumulator) {
 	fa.foldShared(other)
-	for i, d := range fa.assocDets {
-		d.Merge(other.assocDets[i])
-	}
-	for i, d := range fa.naDets {
-		d.Merge(other.naDets[i])
-		for _, s := range other.pending {
-			d.Merge(s.naDets[i])
-		}
+	for i, d := range fa.dets {
+		d.Merge(other.dets[i])
 	}
 }
 
@@ -599,18 +500,12 @@ func (fa *FineAccumulator) Objects() []int {
 // accumulator's Add path is allocation-free in the steady state.
 func (fa *FineAccumulator) Reset() {
 	fa.objs.reset((*ObjectShared).clear)
-	fa.pending = fa.pending[:0]
-	rebuilt := false
 	for i, d := range fa.dets {
 		if r, ok := d.(Resetter); ok {
 			r.Reset()
 		} else {
 			fa.dets[i] = fa.regs[i].New(fa.cfg)
-			rebuilt = true
 		}
-	}
-	if rebuilt {
-		fa.splitDetectors()
 	}
 }
 

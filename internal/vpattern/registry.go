@@ -75,7 +75,9 @@ const KindAuto Kind = 0xFF
 // the hooks each layer consults — the detector factory for the fine
 // analysis stage and the advice function for the advisor. Registering a
 // kind is all it takes for the engine, report, advisor, GUI tables, and
-// vxprof -patterns to carry it.
+// vxprof -patterns to carry it. A fine detector only has to honour the
+// Detector merge contract: the engine merges one partial per flushed
+// batch, strictly in flush order, and never reassociates merges.
 type Registration struct {
 	// Kind identifies the pattern; KindAuto allocates the next free kind.
 	Kind Kind
@@ -88,15 +90,6 @@ type Registration struct {
 	// New builds the launch detector (fine kinds). nil for coarse kinds,
 	// whose snapshot machinery lives in the engine's coarse stage.
 	New func(cfg FineConfig) Detector
-	// ExactMerge declares the detector's Merge exactly associative:
-	// folding partials A then B into an empty detector and merging the
-	// result must equal merging A then B directly, bit for bit. Only
-	// such detectors participate in shard pre-combining and intra-batch
-	// chunked compaction; the rest (e.g. structured values, whose merge
-	// rebases floating-point sums) always observe whole batches
-	// sequentially and merge strictly in flush order. Leave unset when
-	// in doubt — it only costs the pre-combine shortcut.
-	ExactMerge bool
 	// Advise derives the advisor suggestion for one match (fine kinds);
 	// nil emits no per-match suggestions.
 	Advise FineAdvice
