@@ -42,26 +42,21 @@ bench:
 
 # bench-smoke compiles and runs every benchmark for exactly one iteration
 # (no test functions), catching bit-rotted benchmarks without the cost of
-# real measurement, then refreshes the pipeline-overhead trajectory file
-# from the telemetry export (ms/op per worker setting), gating against
-# the checked-in trajectory: a wall or analysis ms/op regression beyond
-# BENCH_TOLERANCE at any worker setting fails the build.
-BENCH_TOLERANCE ?= 0.25
+# real measurement. Timing is gated by the grid alone.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/vxpipebench -iters 3 -baseline BENCH_pipeline.json \
-		-tolerance $(BENCH_TOLERANCE) -out BENCH_pipeline.json
-	$(GO) run ./cmd/vxtracebench -iters 3 -baseline BENCH_trace.json \
-		-tolerance $(BENCH_TOLERANCE) -out BENCH_trace.json
 
-# grid runs the checked-in smoke experiment grid (2 workloads × 3
-# worker/depth settings × 3 repeats, including the capsule-corpus
-# replay workload) through cmd/vxgrid, writes per-run and summary
-# CSV/markdown artifacts under grid_out/, and gates every cell's wall
-# and analysis mean against BENCH_grid.json with the statistics-aware
-# comparison (regression = beyond BENCH_TOLERANCE AND beyond k·std of
-# the measured repeats), refreshing the baseline on success. The full
-# paper grid (grid-full) is opt-in: hours, not minutes.
+# grid is the one timing harness in verify: it runs the checked-in
+# smoke experiment grid (2 workloads × 4 worker/depth settings × 3
+# repeats, including the capsule-corpus replay workload) through
+# cmd/vxgrid, writes per-run and summary CSV/markdown artifacts (with
+# the compact/absorb/finalize breakdown) under grid_out/, and gates
+# every cell's wall and analysis mean against BENCH_grid.json with the
+# statistics-aware comparison (regression = beyond BENCH_TOLERANCE AND
+# beyond k·std of the measured repeats). The refreshed baseline is
+# written before the gate runs. The full paper grid (grid-full) is
+# opt-in: hours, not minutes.
+BENCH_TOLERANCE ?= 0.25
 grid:
 	$(GO) run ./cmd/vxgrid -grid experiments/grid-smoke.json -outdir grid_out \
 		-baseline BENCH_grid.json -tolerance $(BENCH_TOLERANCE) -k 3 \

@@ -99,7 +99,7 @@ func BenchmarkFigure2DarknetVFG(b *testing.B) {
 			b.Fatal(err)
 		}
 		printTable("figure2", fmt.Sprintf(
-			"Figure 2: Darknet value flow graph — %d nodes, %d edges, %d red (redundant) edges\n(DOT via cmd/vxflow -fig 2)",
+			"Figure 2: Darknet value flow graph — %d nodes, %d edges, %d red (redundant) edges\n(DOT via cmd/vxpaper -fig 2)",
 			res.Nodes, res.Edges, res.RedEdges))
 		b.ReportMetric(float64(res.Nodes), "nodes")
 		b.ReportMetric(float64(res.Edges), "edges")

@@ -1,13 +1,12 @@
-// Package benchgate is the one perf-regression gate every benchmark CLI
-// shares: cmd/vxpipebench, cmd/vxtracebench, and cmd/vxgrid all measure
-// different things but gate them identically — a measured statistic is
-// compared against a checked-in baseline and the run fails when the mean
-// regresses beyond BOTH the fractional tolerance and k standard
-// deviations of the measured runs. Requiring both keeps the gate
-// statistics-aware: a noisy cell whose mean wobbles inside its own
-// spread cannot fail the build, and the same spread cannot mask a real
-// regression that clears the tolerance, because the tolerance bound is
-// computed from the baseline mean alone.
+// Package benchgate is the perf-regression gate behind cmd/vxgrid's
+// experiment grid: a measured statistic is compared against a
+// checked-in baseline and the run fails when the mean regresses beyond
+// BOTH the fractional tolerance and k standard deviations of the
+// measured runs. Requiring both keeps the gate statistics-aware: a
+// noisy cell whose mean wobbles inside its own spread cannot fail the
+// build, and the same spread cannot mask a real regression that clears
+// the tolerance, because the tolerance bound is computed from the
+// baseline mean alone.
 //
 // The Stat type is the gated unit. Its JSON form is an object carrying
 // mean, std, min/max, and the repeat count.
@@ -64,22 +63,19 @@ const (
 	// MissingBaseline: a measured setting has no baseline entry, so
 	// nothing vouches for it — refresh the baseline deliberately.
 	MissingBaseline
-	// BelowFloor: an absolute floor (e.g. the trace container's 5x
-	// compression minimum) was not met, baseline or not.
-	BelowFloor
 )
 
 // Failure is one gate violation, formatted as a per-setting diff of
-// measured vs baseline vs allowed so the failing CLI's output says
+// measured vs baseline vs allowed so the failing run's output says
 // exactly which cell moved and by how much.
 type Failure struct {
 	Setting string // which grid cell / worker setting
 	Metric  string // which measured quantity
 	Kind    FailureKind
 
-	Base    Stat    // baseline statistic (zero for MissingBaseline/BelowFloor)
+	Base    Stat    // baseline statistic (zero for MissingBaseline)
 	Cur     Stat    // measured statistic
-	Allowed float64 // regression threshold or floor the measurement violated
+	Allowed float64 // regression threshold the measurement exceeded
 }
 
 // fmtStat renders a Stat compactly; single runs omit the spread.
@@ -90,15 +86,11 @@ func fmtStat(s Stat) string {
 	return fmt.Sprintf("%.2f (std %.2f, n=%d)", s.Mean, s.Std, s.Repeats)
 }
 
-// String is the diff line the CLIs print before exiting nonzero.
+// String is the diff line vxgrid prints before exiting nonzero.
 func (f Failure) String() string {
-	switch f.Kind {
-	case MissingBaseline:
+	if f.Kind == MissingBaseline {
 		return fmt.Sprintf("%s %s: measured %s but the baseline has no entry for this setting (refresh the baseline to vouch for it)",
 			f.Setting, f.Metric, fmtStat(f.Cur))
-	case BelowFloor:
-		return fmt.Sprintf("%s %s: measured %s under the required floor %.2f",
-			f.Setting, f.Metric, fmtStat(f.Cur), f.Allowed)
 	}
 	return fmt.Sprintf("%s %s: measured %s vs baseline %s, allowed <= %.2f — regressed %+.0f%%",
 		f.Setting, f.Metric, fmtStat(f.Cur), fmtStat(f.Base), f.Allowed,
@@ -154,17 +146,6 @@ func (g *Gate) Missing(setting, metric string, cur Stat) {
 	g.failures = append(g.failures, Failure{
 		Setting: setting, Metric: metric, Kind: MissingBaseline, Cur: cur,
 	})
-}
-
-// Floor fails when the measured mean drops under an absolute minimum,
-// independent of any baseline.
-func (g *Gate) Floor(setting, metric string, floor float64, cur Stat) {
-	if cur.Mean < floor {
-		g.failures = append(g.failures, Failure{
-			Setting: setting, Metric: metric, Kind: BelowFloor,
-			Cur: cur, Allowed: floor,
-		})
-	}
 }
 
 // OK reports whether every comparison passed.

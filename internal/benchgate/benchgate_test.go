@@ -22,7 +22,7 @@ func TestSummarize(t *testing.T) {
 }
 
 // TestGateTable is the gate's contract, one row per behavior the grid
-// and bench CLIs depend on.
+// depends on.
 func TestGateTable(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -133,25 +133,7 @@ func TestGateMissingBaselineIsFailure(t *testing.T) {
 	}
 }
 
-func TestGateFloor(t *testing.T) {
-	g := &Gate{}
-	g.Floor("Darknet", "compression_ratio", 5.0, Single(6.2))
-	if !g.OK() {
-		t.Fatalf("above-floor measurement failed: %v", g.Failures())
-	}
-	g.Floor("Darknet", "compression_ratio", 5.0, Single(4.1))
-	if g.OK() {
-		t.Fatal("below-floor measurement passed")
-	}
-	msg := g.Failures()[0].String()
-	for _, want := range []string{"compression_ratio", "4.10", "floor 5.00"} {
-		if !strings.Contains(msg, want) {
-			t.Fatalf("floor message %q lacks %q", msg, want)
-		}
-	}
-}
-
-// TestFailureDiffFormat pins the per-setting diff the CLIs print:
+// TestFailureDiffFormat pins the per-setting diff vxgrid prints:
 // measured vs baseline vs allowed, with the spread and the regression
 // percentage visible.
 func TestFailureDiffFormat(t *testing.T) {

@@ -379,8 +379,11 @@ func (p *Profiler) Drain() {
 // APIEnd implements cuda.Interceptor: launches are finalized through the
 // stages' LaunchEnd, every other event is forwarded to their APIEnd.
 func (p *Profiler) APIEnd(ev *cuda.APIEvent) {
-	start := time.Now()
-	defer func() { p.analysisTime += time.Since(start) }()
+	// The interval counts once: a launch's final flush runs inside this
+	// call and its callback adds to analysisTime, so restore the entry
+	// value rather than adding on top of it.
+	start, before := time.Now(), p.analysisTime
+	defer func() { p.analysisTime = before + time.Since(start) }()
 
 	p.pending = "" // the API completed
 	if ev.Kind == cuda.APILaunch {

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"valueexpert/callpath"
 	"valueexpert/cuda"
@@ -401,17 +402,36 @@ func TestDetachStopsProfiling(t *testing.T) {
 	}
 }
 
+// TestAnalysisTimeAccrues: analysis time is accounted, reported, and
+// never exceeds the wall time around the whole profiled run. The bound
+// holds whatever the timing, because the counted intervals (flush
+// callbacks during kernel execution, APIEnd calls) are disjoint spans on
+// the kernel goroutine; counting a launch's final flush both in its
+// callback and in the enclosing APIEnd breaks it.
 func TestAnalysisTimeAccrues(t *testing.T) {
-	rt, p := newProfiled(t, Config{Coarse: true, Fine: true})
-	x, _ := rt.MallocF32(4096, "x")
-	if err := rt.Launch(fillKernel(x, 1, 4096), gpu.Dim1(32), gpu.Dim1(128)); err != nil {
-		t.Fatal(err)
-	}
-	if p.AnalysisTime() <= 0 {
-		t.Fatal("analysis time not accounted")
-	}
-	if p.Report().Stats.AnalysisTime != p.AnalysisTime() {
-		t.Fatal("report analysis time mismatch")
+	for _, s := range []struct{ workers, depth int }{{0, 0}, {4, 3}} {
+		start := time.Now()
+		rt, p := newProfiled(t, Config{Coarse: true, Fine: true,
+			AnalysisWorkers: s.workers, PipelineDepth: s.depth,
+			// One buffer holds a whole launch, so its only flush is the
+			// final one, run from inside APIEnd.
+			BufferRecords: 1 << 17})
+		x, _ := rt.MallocF32(1<<16, "x")
+		for i := 0; i < 4; i++ {
+			if err := rt.Launch(fillKernel(x, float32(i), 1<<16), gpu.Dim1(512), gpu.Dim1(128)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wall := time.Since(start)
+		if p.AnalysisTime() <= 0 {
+			t.Fatalf("w%d/d%d: analysis time not accounted", s.workers, s.depth)
+		}
+		if p.AnalysisTime() > wall {
+			t.Fatalf("w%d/d%d: analysis %v exceeds wall %v", s.workers, s.depth, p.AnalysisTime(), wall)
+		}
+		if p.Report().Stats.AnalysisTime != p.AnalysisTime() {
+			t.Fatal("report analysis time mismatch")
+		}
 	}
 }
 

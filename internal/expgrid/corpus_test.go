@@ -101,3 +101,25 @@ func TestMeasureCorpusCell(t *testing.T) {
 		t.Fatalf("corpus record volume varies between repeats: %d vs %d", s.Records, s2.Records)
 	}
 }
+
+// TestMeasureCellBreakdown: the real measurement fills the analysis
+// breakdown and flush count from telemetry for both cell kinds, and a
+// live cell's analysis time fits inside its wall time.
+func TestMeasureCellBreakdown(t *testing.T) {
+	for _, w := range []WorkloadSpec{
+		{Name: "Darknet", Scale: 64},
+		{Name: "corpus", Corpus: corpusDir},
+	} {
+		c := Cell{Workload: w, Setting: Setting{Workers: 2, Depth: 2}}
+		s, err := MeasureCell(c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.CompactMS <= 0 || s.Flushes == 0 {
+			t.Errorf("%s: compact %.3f ms, %d flushes; want both > 0", c.Key(), s.CompactMS, s.Flushes)
+		}
+		if s.AnalysisMS > s.WallMS {
+			t.Errorf("%s: analysis %.3f ms exceeds wall %.3f ms", c.Key(), s.AnalysisMS, s.WallMS)
+		}
+	}
+}

@@ -31,6 +31,10 @@ func fakeMeasure(c Cell, rep int) (Sample, error) {
 		CollectionMS: base / 10,
 		AnalysisMS:   base / 2,
 		SnapshotMS:   base / 20,
+		CompactMS:    base / 4,
+		AbsorbMS:     base / 8,
+		FinalizeMS:   base / 40,
+		Flushes:      uint64(10 + c.Setting.Workers),
 		Records:      uint64(1000 + 100*c.Setting.Workers),
 	}, nil
 }

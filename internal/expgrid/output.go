@@ -16,7 +16,8 @@ import (
 // the golden-file tests hold the bytes still.
 
 // runsHeader is the per-run CSV schema, one row per (cell, repeat).
-const runsHeader = "workload,scale,patterns,workers,depth,rep,wall_ms,collection_ms,analysis_ms,snapshot_ms,records"
+const runsHeader = "workload,scale,patterns,workers,depth,rep,wall_ms,collection_ms,analysis_ms,snapshot_ms," +
+	"compact_ms,absorb_ms,finalize_ms,flushes,records"
 
 // WriteRunsCSV emits every individual measurement.
 func (r *Result) WriteRunsCSV(w io.Writer) error {
@@ -25,10 +26,11 @@ func (r *Result) WriteRunsCSV(w io.Writer) error {
 	}
 	for _, run := range r.Runs {
 		c, s := run.Cell, run.Sample
-		_, err := fmt.Fprintf(w, "%s,%d,%s,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%d\n",
+		_, err := fmt.Fprintf(w, "%s,%d,%s,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%d,%d\n",
 			c.Workload.Name, c.Workload.Scale, c.patternLabel(),
 			c.Setting.Workers, c.Setting.Depth, run.Rep,
-			s.WallMS, s.CollectionMS, s.AnalysisMS, s.SnapshotMS, s.Records)
+			s.WallMS, s.CollectionMS, s.AnalysisMS, s.SnapshotMS,
+			s.CompactMS, s.AbsorbMS, s.FinalizeMS, s.Flushes, s.Records)
 		if err != nil {
 			return err
 		}
@@ -40,7 +42,8 @@ func (r *Result) WriteRunsCSV(w io.Writer) error {
 const summaryHeader = "workload,scale,patterns,workers,depth,repeats," +
 	"wall_mean_ms,wall_std_ms,wall_min_ms,wall_max_ms," +
 	"analysis_mean_ms,analysis_std_ms,analysis_min_ms,analysis_max_ms," +
-	"collection_mean_ms,snapshot_mean_ms,records"
+	"collection_mean_ms,snapshot_mean_ms," +
+	"compact_mean_ms,absorb_mean_ms,finalize_mean_ms,flushes,records"
 
 // WriteSummaryCSV emits the grouped mean/std/min/max statistics.
 func (r *Result) WriteSummaryCSV(w io.Writer) error {
@@ -49,12 +52,13 @@ func (r *Result) WriteSummaryCSV(w io.Writer) error {
 	}
 	for _, g := range r.Groups {
 		c := g.Cell
-		_, err := fmt.Fprintf(w, "%s,%d,%s,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%d\n",
+		_, err := fmt.Fprintf(w, "%s,%d,%s,%d,%d,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%d,%d\n",
 			c.Workload.Name, c.Workload.Scale, c.patternLabel(),
 			c.Setting.Workers, c.Setting.Depth, g.Wall.Repeats,
 			g.Wall.Mean, g.Wall.Std, g.Wall.Min, g.Wall.Max,
 			g.Analysis.Mean, g.Analysis.Std, g.Analysis.Min, g.Analysis.Max,
-			g.Collection.Mean, g.Snapshot.Mean, g.Records)
+			g.Collection.Mean, g.Snapshot.Mean,
+			g.Compact.Mean, g.Absorb.Mean, g.Finalize.Mean, g.Flushes, g.Records)
 		if err != nil {
 			return err
 		}
@@ -67,18 +71,19 @@ func (r *Result) WriteSummaryCSV(w io.Writer) error {
 func (r *Result) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## Grid `%s` — %d cells × %d repeats\n\n", r.Spec.Name, len(r.Groups), r.Spec.Repeats)
-	b.WriteString("| workload | scale | patterns | workers | depth | wall ms (mean±std) | analysis ms (mean±std) | collection ms | snapshot ms |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("| workload | scale | patterns | workers | depth | wall ms (mean±std) | analysis ms (mean±std) | collection ms | snapshot ms | compact ms | absorb ms | finalize ms | flushes |\n")
+	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	for _, g := range r.Groups {
 		c := g.Cell
 		scale := "—"
 		if c.Workload.Corpus == "" {
 			scale = fmt.Sprintf("%d", c.Workload.Scale)
 		}
-		fmt.Fprintf(&b, "| %s | %s | %s | %d | %d | %.2f ± %.2f | %.2f ± %.2f | %.2f | %.2f |\n",
+		fmt.Fprintf(&b, "| %s | %s | %s | %d | %d | %.2f ± %.2f | %.2f ± %.2f | %.2f | %.2f | %.2f | %.2f | %.2f | %d |\n",
 			c.Workload.Name, scale, c.patternLabel(), c.Setting.Workers, c.Setting.Depth,
 			g.Wall.Mean, g.Wall.Std, g.Analysis.Mean, g.Analysis.Std,
-			g.Collection.Mean, g.Snapshot.Mean)
+			g.Collection.Mean, g.Snapshot.Mean,
+			g.Compact.Mean, g.Absorb.Mean, g.Finalize.Mean, g.Flushes)
 	}
 	return b.String()
 }

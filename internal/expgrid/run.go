@@ -1,12 +1,12 @@
 package expgrid
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"valueexpert/cuda"
@@ -19,17 +19,26 @@ import (
 )
 
 // Sample is one repeat's measurement of one cell, in milliseconds.
-// Corpus cells measure wall time only: a capsule replay has no
-// collection side and the engine's overhead attribution is zeroed by
-// Reprofile, so the remaining fields stay 0 and are never gated.
+// Corpus cells have no collection side and Reprofile zeroes the
+// engine's overhead attribution, so their collection, analysis and
+// snapshot fields stay 0 and are never gated; the analysis-stage
+// breakdown and the volume counters come from telemetry for both kinds.
 type Sample struct {
 	WallMS       float64
 	CollectionMS float64
 	AnalysisMS   float64
 	SnapshotMS   float64
-	// Records is the instrumented access-record volume behind the
-	// numbers, context for reading the spread (identical every repeat for
-	// corpus cells — that is the point of the corpus).
+	// The analysis stage's breakdown, summed over stages: worker-side
+	// compaction, the collector's ordered absorbs, and launch-end
+	// finalization (the stage.*.compact|absorb|finalize timers).
+	CompactMS  float64
+	AbsorbMS   float64
+	FinalizeMS float64
+	// Flushes and Records are the sanitizer buffer flushes and access
+	// records behind the numbers, context for reading the spread
+	// (identical every repeat for corpus cells — that is the point of the
+	// corpus).
+	Flushes uint64
 	Records uint64
 }
 
@@ -47,7 +56,37 @@ type Group struct {
 	Collection benchgate.Stat
 	Analysis   benchgate.Stat
 	Snapshot   benchgate.Stat
+	Compact    benchgate.Stat
+	Absorb     benchgate.Stat
+	Finalize   benchgate.Stat
+	Flushes    uint64 // per-repeat flush count (max across repeats)
 	Records    uint64 // per-repeat record volume (max across repeats)
+}
+
+// group reduces one cell's repeats to a Group.
+func group(c Cell, samples []Sample) Group {
+	stat := func(field func(Sample) float64) benchgate.Stat {
+		v := make([]float64, len(samples))
+		for i, s := range samples {
+			v[i] = field(s)
+		}
+		return benchgate.Summarize(v)
+	}
+	g := Group{
+		Cell:       c,
+		Wall:       stat(func(s Sample) float64 { return s.WallMS }),
+		Collection: stat(func(s Sample) float64 { return s.CollectionMS }),
+		Analysis:   stat(func(s Sample) float64 { return s.AnalysisMS }),
+		Snapshot:   stat(func(s Sample) float64 { return s.SnapshotMS }),
+		Compact:    stat(func(s Sample) float64 { return s.CompactMS }),
+		Absorb:     stat(func(s Sample) float64 { return s.AbsorbMS }),
+		Finalize:   stat(func(s Sample) float64 { return s.FinalizeMS }),
+	}
+	for _, s := range samples {
+		g.Flushes = max(g.Flushes, s.Flushes)
+		g.Records = max(g.Records, s.Records)
+	}
+	return g
 }
 
 // Result is a completed grid run.
@@ -77,30 +116,16 @@ func (r *Runner) Run() (*Result, error) {
 	}
 	res := &Result{Spec: r.Spec}
 	for _, c := range r.Spec.Cells() {
-		var wall, coll, anal, snap []float64
-		var records uint64
+		samples := make([]Sample, 0, r.Spec.Repeats)
 		for rep := 0; rep < r.Spec.Repeats; rep++ {
 			s, err := measure(c, rep)
 			if err != nil {
 				return nil, fmt.Errorf("cell %s repeat %d: %w", c.Key(), rep, err)
 			}
 			res.Runs = append(res.Runs, Run{Cell: c, Rep: rep, Sample: s})
-			wall = append(wall, s.WallMS)
-			coll = append(coll, s.CollectionMS)
-			anal = append(anal, s.AnalysisMS)
-			snap = append(snap, s.SnapshotMS)
-			if s.Records > records {
-				records = s.Records
-			}
+			samples = append(samples, s)
 		}
-		g := Group{
-			Cell:       c,
-			Wall:       benchgate.Summarize(wall),
-			Collection: benchgate.Summarize(coll),
-			Analysis:   benchgate.Summarize(anal),
-			Snapshot:   benchgate.Summarize(snap),
-			Records:    records,
-		}
+		g := group(c, samples)
 		res.Groups = append(res.Groups, g)
 		if r.Progress != nil {
 			fmt.Fprintf(r.Progress, "%s: wall %.2f±%.2f ms, analysis %.2f±%.2f ms (n=%d)\n",
@@ -120,8 +145,8 @@ func MeasureCell(c Cell, rep int) (Sample, error) {
 	return measureLive(c)
 }
 
-// measureLive profiles one instrumented run of a bundled workload —
-// the same coarse+fine configuration cmd/vxpipebench times.
+// measureLive profiles one instrumented run of a bundled workload with
+// coarse and fine analysis on.
 func measureLive(c Cell) (Sample, error) {
 	w, err := workloads.ByName(c.Workload.Name)
 	if err != nil {
@@ -154,25 +179,50 @@ func measureLive(c Cell) (Sample, error) {
 	s.CollectionMS = ms(ov.CollectionTime)
 	s.AnalysisMS = ms(ov.AnalysisTime)
 	s.SnapshotMS = ms(ov.SnapshotTime)
-	s.Records = tel.Metrics().Counters["sanitizer.records"]
+	s.fillTelemetry(tel.Metrics())
 	return s, nil
+}
+
+// fillTelemetry fills the analysis-stage breakdown and the volume
+// counters from a telemetry export.
+func (s *Sample) fillTelemetry(m telemetry.Metrics) {
+	s.Flushes = m.Counters["sanitizer.flushes"]
+	s.Records = m.Counters["sanitizer.records"]
+	var compact, absorb, finalize time.Duration
+	for name, ts := range m.Timers {
+		if !strings.HasPrefix(name, "stage.") {
+			continue
+		}
+		d := time.Duration(ts.TotalNS)
+		switch {
+		case strings.HasSuffix(name, ".compact"):
+			compact += d
+		case strings.HasSuffix(name, ".absorb"):
+			absorb += d
+		case strings.HasSuffix(name, ".finalize"):
+			finalize += d
+		}
+	}
+	s.CompactMS, s.AbsorbMS, s.FinalizeMS = ms(compact), ms(absorb), ms(finalize)
 }
 
 // corpusCfg is the analysis configuration corpus capsules replay under —
 // the same per-launch dimensions their checked-in reports were recorded
 // with (see CorpusConfig in corpus.go), at the cell's pipeline setting.
-func corpusCfg(c Cell) core.Config {
+func corpusCfg(c Cell, tel *telemetry.Recorder) core.Config {
 	cfg := CorpusConfig()
 	cfg.Patterns = splitPatterns(c.Patterns)
 	cfg.AnalysisWorkers = c.Setting.Workers
 	cfg.PipelineDepth = c.Setting.Depth
+	cfg.Telemetry = tel
 	return cfg
 }
 
 // measureCorpus replays every capsule in the cell's corpus directory and
-// reports the total replay wall time. The input bytes are checked in, so
-// the measured work is fixed — the closest thing the grid has to a
-// noise-floor probe.
+// reports the total replay wall time, with the analysis breakdown summed
+// over the capsules through one telemetry recorder. The input bytes are
+// checked in, so the measured work is fixed — the closest thing the grid
+// has to a noise-floor probe.
 func measureCorpus(c Cell) (Sample, error) {
 	files, err := CorpusFiles(c.Workload.Corpus)
 	if err != nil {
@@ -181,17 +231,15 @@ func measureCorpus(c Cell) (Sample, error) {
 	if len(files) == 0 {
 		return Sample{}, fmt.Errorf("corpus %s: no *.capsule files", c.Workload.Corpus)
 	}
+	tel := telemetry.New()
 	var s Sample
 	for _, path := range files {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return Sample{}, err
 		}
-		for _, l := range mustLaunches(data) {
-			s.Records += uint64(l.Records)
-		}
 		start := time.Now()
-		rep, _, err := capsule.Reprofile(data, corpusCfg(c))
+		rep, _, err := capsule.Reprofile(data, corpusCfg(c, tel))
 		if err != nil {
 			return Sample{}, fmt.Errorf("%s: %w", path, err)
 		}
@@ -200,17 +248,8 @@ func measureCorpus(c Cell) (Sample, error) {
 			return Sample{}, fmt.Errorf("%s: empty report", path)
 		}
 	}
+	s.fillTelemetry(tel.Metrics())
 	return s, nil
-}
-
-// mustLaunches lists a capsule's launches, swallowing scan errors —
-// Reprofile will surface them with context a moment later.
-func mustLaunches(data []byte) []capsule.LaunchInfo {
-	launches, err := capsule.Launches(bytes.NewReader(data))
-	if err != nil {
-		return nil
-	}
-	return launches
 }
 
 // CorpusFiles lists a corpus directory's capsules in sorted order.

@@ -84,9 +84,16 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCompression asserts the size criterion the format exists
-// for: the Darknet recording's binary container is at least 5x smaller
-// than the JSONL encoding of the identical stream.
+// maxBytesPerAccess bounds the binary container's size per access
+// record on the Darknet recording: the 11.79 B/access the format
+// measured when the bound was set, plus 25% headroom.
+const maxBytesPerAccess = 11.79 * 1.25
+
+// TestBinaryCompression asserts the size criteria the format exists
+// for, on the Darknet recording: the binary container is at least 5x
+// smaller than the JSONL encoding of the identical stream, and spends
+// at most maxBytesPerAccess bytes per access record. Both sizes are
+// exact, so the checks are deterministic.
 func TestBinaryCompression(t *testing.T) {
 	bin := recordDarknetFormat(t, FormatBinary)
 	jsonl := recordDarknetFormat(t, FormatJSONL)
@@ -94,7 +101,18 @@ func TestBinaryCompression(t *testing.T) {
 	if ratio < 5 {
 		t.Fatalf("binary %d bytes, jsonl %d bytes: compression %.2fx < 5x", len(bin), len(jsonl), ratio)
 	}
-	t.Logf("binary %d bytes, jsonl %d bytes (%.1fx)", len(bin), len(jsonl), ratio)
+	var accesses int
+	if err := Scan(bytes.NewReader(bin), func(e *Event) error {
+		accesses += len(e.Accesses)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	perAccess := float64(len(bin)) / float64(accesses)
+	if perAccess > maxBytesPerAccess {
+		t.Fatalf("binary %d bytes over %d access records: %.2f B/access > %.2f", len(bin), accesses, perAccess, maxBytesPerAccess)
+	}
+	t.Logf("binary %d bytes, jsonl %d bytes (%.1fx), %.2f B/access", len(bin), len(jsonl), ratio, perAccess)
 }
 
 // TestBinaryTruncation cuts a valid container at every byte boundary:
