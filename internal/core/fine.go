@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"sync"
 
@@ -18,8 +17,6 @@ import (
 // any out-of-tree registrations). A detector disabled in Env.Patterns is
 // never constructed, so it costs nothing in Compact or Absorb.
 type fineStage struct {
-	cfg     vpattern.FineConfig
-	regs    []vpattern.Registration
 	records []profile.FineRecord
 
 	// shards pools per-batch shard accumulators: a recycled shard Resets
@@ -29,21 +26,10 @@ type fineStage struct {
 }
 
 func newFineStage(env Env) *fineStage {
-	s := &fineStage{
-		cfg:  env.Cfg.FineConfig,
-		regs: vpattern.FineDetectors(env.Patterns),
-	}
-	s.shards.New = func() any {
-		cfg := s.cfg
-		cfg.MaxTrackedValues = math.MaxInt
-		return vpattern.NewFineAccumulatorWith(cfg, s.regs)
-	}
+	cfg, regs := env.Cfg.FineConfig, vpattern.FineDetectors(env.Patterns)
+	s := &fineStage{}
+	s.shards.New = func() any { return vpattern.NewFineAccumulatorWith(cfg, regs) }
 	return s
-}
-
-// getShard leases an empty uncapped shard from the pool.
-func (s *fineStage) getShard() *vpattern.FineAccumulator {
-	return s.shards.Get().(*vpattern.FineAccumulator)
 }
 
 // putShard resets a shard in place and returns it to the pool.
@@ -62,23 +48,22 @@ func (s *fineStage) NeedsValues() bool { return true }
 func (s *fineStage) APIBegin(*cuda.APIEvent) {}
 func (s *fineStage) APIEnd(*cuda.APIEvent)   {}
 
-// fineLaunch accumulates one instrumented launch's values.
+// fineLaunch accumulates one instrumented launch's values. acc is nil
+// until the first Absorb adopts a shard.
 type fineLaunch struct {
 	st  *fineStage
 	acc *vpattern.FineAccumulator
 }
 
 func (s *fineStage) LaunchBegin(string) LaunchAnalysis {
-	return &fineLaunch{st: s, acc: vpattern.NewFineAccumulatorWith(s.cfg, s.regs)}
+	return &fineLaunch{st: s}
 }
 
-// Compact accumulates the batch's values into an independent uncapped
-// shard running the same detector lineup. The shard must not saturate:
-// the master re-applies the configured cap during the in-order merge,
-// reproducing global first-occurrence eviction exactly (see
-// FineAccumulator.Merge).
+// Compact accumulates the batch's values into an independent shard
+// running the same detector lineup, its histograms uncapped until the
+// launch adopts or merges it (see FineAccumulator.Merge).
 func (la *fineLaunch) Compact(b *Batch) Partial {
-	shard := la.st.getShard()
+	shard := la.st.shards.Get().(*vpattern.FineAccumulator)
 	for i, a := range b.Recs {
 		if b.Yield && i%yieldStride == 0 {
 			runtime.Gosched()
@@ -116,20 +101,27 @@ func (la *fineLaunch) Compact(b *Batch) Partial {
 	return shard
 }
 
-// Absorb merges a shard in flush order, re-applying the value cap, then
-// recycles the shard to the pool.
+// Absorb folds shards in flush order: the first becomes the launch state
+// (merging it into an empty accumulator would only replay it); later
+// ones merge into it under the value cap and go back to the pool.
 func (la *fineLaunch) Absorb(pt Partial) {
 	shard := pt.(*vpattern.FineAccumulator)
+	if la.acc == nil {
+		la.acc = shard
+		return
+	}
 	la.acc.Merge(shard)
 	la.st.putShard(shard)
 }
 
-// LaunchEnd finalizes the launch's per-object pattern reports.
+// LaunchEnd finalizes the launch's per-object pattern reports, then
+// returns the launch state to the shard pool.
 func (s *fineStage) LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis) {
-	if la == nil {
-		return
+	if la == nil || la.(*fineLaunch).acc == nil {
+		return // filtered out, or no batch reached the launch
 	}
-	for _, fr := range la.(*fineLaunch).acc.Finalize() {
+	acc := la.(*fineLaunch).acc
+	for _, fr := range acc.Finalize() {
 		rec := profile.FineRecord{
 			Seq: ev.Seq, Kernel: ev.Name, ObjectID: fr.ObjectID,
 			Accesses: fr.Accesses, Loads: fr.Loads, Stores: fr.Stores,
@@ -147,6 +139,7 @@ func (s *fineStage) LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis) {
 		}
 		s.records = append(s.records, rec)
 	}
+	s.putShard(acc)
 }
 
 // EvictObjects implements ObjectEvicter: fine records are per-object, so

@@ -2,8 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"valueexpert/cuda"
 	"valueexpert/gpu"
 )
 
@@ -27,7 +30,8 @@ func testFineBatch(rng *rand.Rand, n int) *Batch {
 	// One captured load range decoded from the batch's capture buffer.
 	b.Recs[1] = gpu.Access{Addr: 0x100, Size: 4, Kind: gpu.KindUint, Count: 3}
 	b.rangeBytes = []byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}
-	b.rangeIdx = map[int]rangeRef{1: {off: 0, n: 12}}
+	b.rangeOff = make([]int, n)
+	b.rangeOff[1] = 1 // offset 0, plus one
 	return b
 }
 
@@ -37,17 +41,43 @@ func newTestFineStage() *fineStage {
 
 // TestFineCompactAllocsFree: with the shard pool warmed, one
 // compact-absorb round trip over a batch must not allocate — the
-// engine-side half of the zero-alloc access path.
+// engine-side half of the zero-alloc access path. Across launches, once
+// warm launches have passed, a launch must not allocate either to begin,
+// compact or absorb: it adopts a pooled shard instead of building an
+// accumulator. LaunchEnd's record building is outside the measurement.
 func TestFineCompactAllocsFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates around sync.Pool")
 	}
+	// sync.Pool keeps shards per P and drops them at GC; on one P with
+	// collection off, a pooled shard is always found again.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	st := newTestFineStage()
 	la := st.LaunchBegin("k").(*fineLaunch)
 	b := testFineBatch(rand.New(rand.NewSource(31)), 2048)
 	round := func() { la.Absorb(la.Compact(b)) }
-	round() // warm the pooled shard and the master accumulator
+	round() // adopt the first shard as launch state
+	round() // warm the pooled shard and the merge into the launch state
 	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
 		t.Fatalf("fine compact+absorb allocated %.1f times per warmed batch, want 0", allocs)
+	}
+
+	ev := &cuda.APIEvent{Kind: cuda.APILaunch, Name: "k"}
+	st.LaunchEnd(ev, la)
+	// Launch 0 adopts the shard that so far only merged: its first settle
+	// sizes the approximate histograms.
+	var ms runtime.MemStats
+	for launch := 0; launch < 4; launch++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		next := st.LaunchBegin("k")
+		next.Absorb(next.Compact(b)) // adopted
+		next.Absorb(next.Compact(b)) // merged
+		runtime.ReadMemStats(&ms)
+		if allocs := ms.Mallocs - before; launch > 0 && allocs != 0 {
+			t.Fatalf("launch %d after a warm one: begin+compact+absorb allocated %d times, want 0", launch, allocs)
+		}
+		st.LaunchEnd(ev, next)
 	}
 }

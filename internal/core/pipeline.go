@@ -13,6 +13,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"valueexpert/gpu"
@@ -218,7 +219,7 @@ func (p *Profiler) releaseBatch(b *Batch) {
 	b.Recs = nil
 	b.IDs = b.IDs[:0]
 	b.rangeBytes = b.rangeBytes[:0]
-	clear(b.rangeIdx)
+	b.rangeOff = b.rangeOff[:0]
 	b.Yield = false
 	p.batchPool.Put(b)
 }
@@ -231,6 +232,8 @@ func (p *Profiler) releaseBatch(b *Batch) {
 // straddling allocations) leaves no entry and the record contributes no
 // fine-grained values, in either analysis mode.
 func (b *Batch) captureRangeLoads(mem *gpu.Memory) {
+	b.rangeOff = slices.Grow(b.rangeOff[:0], len(b.Recs))[:len(b.Recs)]
+	clear(b.rangeOff)
 	for i, a := range b.Recs {
 		if a.Count <= 1 || a.Store {
 			continue
@@ -246,9 +249,6 @@ func (b *Batch) captureRangeLoads(mem *gpu.Memory) {
 			b.rangeBytes = b.rangeBytes[:off]
 			continue
 		}
-		if b.rangeIdx == nil {
-			b.rangeIdx = make(map[int]rangeRef)
-		}
-		b.rangeIdx[i] = rangeRef{off: off, n: n}
+		b.rangeOff[i] = off + 1
 	}
 }

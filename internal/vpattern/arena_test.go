@@ -144,8 +144,7 @@ func finalizeSequential(cfg FineConfig, accs []gpu.Access, objOf func(i int) int
 func TestShardReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	cfg := FineConfig{MaxTrackedValues: 32}
-	proto := NewFineAccumulator(cfg)
-	reused := proto.NewShard()
+	reused := NewFineAccumulator(cfg)
 	for round := 0; round < 5; round++ {
 		accs, objOf := randStream(rng, 300)
 		want := finalizeSequential(cfg, accs, objOf)
@@ -158,6 +157,10 @@ func TestShardReuseMatchesFresh(t *testing.T) {
 		master.Merge(reused)
 		if got := master.Finalize(); !reflect.DeepEqual(want, got) {
 			t.Fatalf("round %d: reused shard diverged\nwant %+v\ngot  %+v", round, want, got)
+		}
+		// Adopted as launch state, the same shard finalizes identically.
+		if got := reused.Finalize(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("round %d: adopted reused shard diverged\nwant %+v\ngot  %+v", round, want, got)
 		}
 	}
 }

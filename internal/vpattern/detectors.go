@@ -9,9 +9,9 @@ import (
 )
 
 // The six builtin fine-grained detectors. The stateless ones (single
-// zero, single value, frequent values) read everything they need from the
-// shared observation context at Finalize; the stateful ones (heavy type,
-// structured values, approximate values) keep only the per-object state
+// zero, single value, frequent values, approximate values) read everything
+// they need from the shared observation context at Finalize; the stateful
+// ones (heavy type, structured values) keep only the per-object state
 // their own definition requires, in dense ID-indexed tables that reset in
 // place for shard reuse.
 
@@ -378,45 +378,20 @@ func (d *structuredDetector) Finalize(objID int, _ *ObjectShared) (Match, bool) 
 }
 
 // approxDetector recognizes Def 3.8: mantissa truncation exposes a
-// single/frequent pattern the exact histogram does not. Per-object state
-// exists only for objects that saw float values. Histogram folds replay
-// insertion order.
-type approxDetector struct {
-	cfg  FineConfig
-	objs table[valueHist]
-}
+// single/frequent pattern the exact histogram does not. It reads the
+// truncated-value histogram the accumulator derives per distinct value
+// (ObjectShared.approx), so like frequentDetector it holds no state.
+type approxDetector struct{ cfg FineConfig }
 
-func newApproxDetector(cfg FineConfig) Detector {
-	return &approxDetector{cfg: cfg}
-}
+func newApproxDetector(cfg FineConfig) Detector { return approxDetector{cfg: cfg} }
 
-func (d *approxDetector) Reset() { d.objs.reset((*valueHist).reset) }
+func (approxDetector) Observe(int, gpu.Access) {}
+func (approxDetector) Merge(Detector)          {}
+func (approxDetector) Reset()                  {}
 
-func (d *approxDetector) Observe(objID int, a gpu.Access) {
-	if a.Kind != gpu.KindFloat {
-		return
-	}
-	h, _ := d.objs.at(objID)
-	v := Value{Raw: a.Raw, Size: a.Size, Kind: a.Kind}
-	h.add(v.Truncate(d.cfg.ApproxMantissaBits), 1, d.cfg.MaxTrackedValues)
-}
-
-func (d *approxDetector) Merge(partial Detector) {
-	o := partial.(*approxDetector)
-	for _, id := range o.objs.ids {
-		oh := o.objs.get(id)
-		h, _ := d.objs.at(id)
-		// Replay in insertion order against d's cap; approximate overflow
-		// drops silently (capped replay == trim).
-		for _, e := range oh.entries {
-			h.add(e.Value, e.Count, d.cfg.MaxTrackedValues)
-		}
-	}
-}
-
-func (d *approxDetector) Finalize(objID int, sh *ObjectShared) (Match, bool) {
-	h := d.objs.get(objID)
-	if h == nil || h.len() == 0 {
+func (d approxDetector) Finalize(_ int, sh *ObjectShared) (Match, bool) {
+	h := &sh.approx
+	if h.len() == 0 {
 		return Match{}, false
 	}
 	if _, single := sh.Single(); single {

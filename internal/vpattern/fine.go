@@ -255,14 +255,18 @@ type ObjectShared struct {
 	Overflow uint64
 
 	exact valueHist
-	top   []ValueCount
+	// approx holds the truncated float values (Def 3.8), derived per
+	// distinct exact value (FineAccumulator.foldApprox), never per access.
+	approx valueHist
+	top    []ValueCount
 }
 
-// clear empties the state keeping the histogram's and ranking's
+// clear empties the state keeping the histograms' and ranking's
 // allocations for reuse.
 func (sh *ObjectShared) clear() {
 	sh.Loads, sh.Stores, sh.Bytes, sh.Overflow = 0, 0, 0, 0
 	sh.exact.reset()
+	sh.approx.reset()
 	sh.top = sh.top[:0]
 }
 
@@ -394,11 +398,19 @@ type Resetter interface {
 // histogram) and fans each access out to its detector lineup; matches are
 // emitted in detector registration order. Reset between APIs (the online
 // analyzer finalizes at each kernel exit).
+//
+// Add fills the exact histogram uncapped: an Add-fed accumulator is a
+// per-batch shard, bounded by the flush buffer. MaxTrackedValues applies
+// where state meets, when the accumulator settles (its first Merge, or
+// Finalize) and when Merge replays a partial, so a shard adopted as
+// launch state finalizes exactly as if merged into an empty accumulator.
 type FineAccumulator struct {
-	cfg  FineConfig
-	regs []Registration
-	dets []Detector
-	objs table[ObjectShared]
+	cfg     FineConfig
+	regs    []Registration
+	dets    []Detector
+	objs    table[ObjectShared]
+	approx  bool // the lineup runs the approximate-values detector
+	settled bool // under the cap; Add must not follow before a Reset
 }
 
 // NewFineAccumulator creates an accumulator running every fine-grained
@@ -414,22 +426,16 @@ func NewFineAccumulatorWith(cfg FineConfig, regs []Registration) *FineAccumulato
 	fa.dets = make([]Detector, len(regs))
 	for i, r := range regs {
 		fa.dets[i] = r.New(fa.cfg)
+		if _, ok := fa.dets[i].(approxDetector); ok {
+			fa.approx = true
+		}
 	}
 	return fa
 }
 
-// NewShard creates an empty accumulator with the same detector lineup and
-// an effectively unlimited histogram cap — the partial a pipeline worker
-// fills over one flushed batch and hands back to Merge (which re-applies
-// fa's cap, preserving global first-occurrence eviction order).
-func (fa *FineAccumulator) NewShard() *FineAccumulator {
-	cfg := fa.cfg
-	cfg.MaxTrackedValues = math.MaxInt
-	return NewFineAccumulatorWith(cfg, fa.regs)
-}
-
-// addShared folds one access into the object's shared observation context.
-func (fa *FineAccumulator) addShared(objID int, a gpu.Access) {
+// Add records one access belonging to the data object objID. The exact
+// histogram takes every distinct value; the cap waits for settle.
+func (fa *FineAccumulator) Add(objID int, a gpu.Access) {
 	sh, _ := fa.objs.at(objID)
 	if a.Store {
 		sh.Stores++
@@ -437,26 +443,53 @@ func (fa *FineAccumulator) addShared(objID int, a gpu.Access) {
 		sh.Loads++
 	}
 	sh.Bytes += uint64(a.Size)
-
-	// Exact histogram (capped).
-	v := Value{Raw: a.Raw, Size: a.Size, Kind: a.Kind}
-	if !sh.exact.add(v, 1, fa.cfg.MaxTrackedValues) {
-		sh.Overflow++
-	}
-}
-
-// Add records one access belonging to the data object objID.
-func (fa *FineAccumulator) Add(objID int, a gpu.Access) {
-	fa.addShared(objID, a)
+	sh.exact.add(Value{Raw: a.Raw, Size: a.Size, Kind: a.Kind}, 1, math.MaxInt)
 	for _, d := range fa.dets {
 		d.Observe(objID, a)
 	}
 }
 
-// foldShared replays other's shared per-object state into fa in insertion
-// order — identical saturation decisions to a sequential pass over fa's
-// stream followed by other's.
-func (fa *FineAccumulator) foldShared(other *FineAccumulator) {
+// settle turns Add-fed state final: it derives the approximate histogram
+// from the uncapped exact one, then trims that to the cap (equal to a
+// capped replay). Idempotent until the next Reset.
+func (fa *FineAccumulator) settle() {
+	if fa.settled {
+		return
+	}
+	fa.settled = true
+	for i := range fa.objs.arena {
+		sh := &fa.objs.arena[i]
+		fa.foldApprox(sh, sh.exact.entries)
+		sh.Overflow += sh.exact.trim(fa.cfg.MaxTrackedValues)
+	}
+}
+
+// foldApprox adds uncapped exact entries' truncated float values, in
+// insertion order and under the cap, to sh's approximate histogram: equal
+// to hashing each access's, as first-occurrence order and counts carry.
+func (fa *FineAccumulator) foldApprox(sh *ObjectShared, entries []ValueCount) {
+	if !fa.approx {
+		return
+	}
+	for _, e := range entries {
+		if e.Value.Kind == gpu.KindFloat {
+			sh.approx.add(e.Value.Truncate(fa.cfg.ApproxMantissaBits), e.Count, fa.cfg.MaxTrackedValues)
+		}
+	}
+}
+
+// Merge folds a partial accumulator into fa, producing exactly the state a
+// single accumulator would hold after ingesting fa's access stream followed
+// by other's. Pipelined analysis fills one partial per flushed batch on
+// worker goroutines (shard pool) and merges them here in batch order, so
+// the merged state — and hence the finalized report — is independent of
+// worker count and scheduling. other must be Add-fed and run the same
+// detector lineup. Merge settles fa, then replays other's uncapped entries
+// in insertion order against fa's cap (a value past the partial's own cap
+// may be tracked in fa). Merge reads other's state without consuming it,
+// leaving the shard to the engine's pool (Reset) or the collector's discard.
+func (fa *FineAccumulator) Merge(other *FineAccumulator) {
+	fa.settle()
 	for _, id := range other.objs.ids {
 		ob := other.objs.get(id)
 		sh, _ := fa.objs.at(id)
@@ -468,20 +501,8 @@ func (fa *FineAccumulator) foldShared(other *FineAccumulator) {
 				sh.Overflow += e.Count
 			}
 		}
-		sh.Overflow += ob.Overflow
+		fa.foldApprox(sh, ob.exact.entries)
 	}
-}
-
-// Merge folds a partial accumulator into fa, producing exactly the state a
-// single accumulator would hold after ingesting fa's access stream followed
-// by other's. Pipelined analysis builds one uncapped partial per flushed
-// batch on worker goroutines (shard pool) and merges them here in batch
-// order, so the merged state — and hence the finalized report — is
-// independent of worker count and scheduling. Merge requires other to run the same detector
-// lineup; it reads other's state without consuming it, leaving the shard
-// to the engine's pool (Reset) or the collector's discard.
-func (fa *FineAccumulator) Merge(other *FineAccumulator) {
-	fa.foldShared(other)
 	for i, d := range fa.dets {
 		d.Merge(other.dets[i])
 	}
@@ -499,6 +520,7 @@ func (fa *FineAccumulator) Objects() []int {
 // detectors that implement Resetter keep their allocations, so a reused
 // accumulator's Add path is allocation-free in the steady state.
 func (fa *FineAccumulator) Reset() {
+	fa.settled = false
 	fa.objs.reset((*ObjectShared).clear)
 	for i, d := range fa.dets {
 		if r, ok := d.(Resetter); ok {
@@ -509,9 +531,10 @@ func (fa *FineAccumulator) Reset() {
 	}
 }
 
-// Finalize computes fine-grained pattern reports for every accumulated
-// object, ordered by object ID.
+// Finalize settles the accumulator and computes fine-grained pattern
+// reports for every accumulated object, ordered by object ID.
 func (fa *FineAccumulator) Finalize() []FineReport {
+	fa.settle()
 	var out []FineReport
 	for _, id := range fa.Objects() {
 		out = append(out, fa.finalizeObject(id, fa.objs.get(id)))

@@ -368,23 +368,27 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// mergeStream replays accs through batches of the given size, compacting
-// each batch into an uncapped shard (as pipeline workers do) and merging
-// the shards in order into a master with the configured cap.
-func mergeStream(cfg FineConfig, accs []gpu.Access, objOf func(i int) int, batch int) []FineReport {
-	master := NewFineAccumulator(cfg)
-	shardCfg := cfg
-	shardCfg.MaxTrackedValues = math.MaxInt
+// mergeStream replays accs through batches of the given size, filling one
+// shard per batch (as pipeline workers do) with the given detector
+// lineup and folding the shards in order. With adopt, the first shard
+// becomes the master, as a launch adopts its first shard; otherwise
+// every shard merges into an empty master.
+func mergeStream(cfg FineConfig, regs []Registration, accs []gpu.Access, objOf func(i int) int, batch int, adopt bool) []FineReport {
+	var master *FineAccumulator
+	if !adopt {
+		master = NewFineAccumulatorWith(cfg, regs)
+	}
 	for lo := 0; lo < len(accs); lo += batch {
-		hi := lo + batch
-		if hi > len(accs) {
-			hi = len(accs)
-		}
-		shard := NewFineAccumulator(shardCfg)
+		hi := min(lo+batch, len(accs))
+		shard := NewFineAccumulatorWith(cfg, regs)
 		for i := lo; i < hi; i++ {
 			shard.Add(objOf(i), accs[i])
 		}
-		master.Merge(shard)
+		if master == nil {
+			master = shard
+		} else {
+			master.Merge(shard)
+		}
 	}
 	return master.Finalize()
 }
@@ -420,41 +424,51 @@ func TestMergeMatchesSequential(t *testing.T) {
 	want := seq.Finalize()
 
 	for _, batch := range []int{1, 7, 64, n} {
-		got := mergeStream(FineConfig{}, accs, objOf, batch)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("batch=%d: merged reports differ from sequential\nwant %+v\ngot  %+v", batch, want, got)
+		for _, adopt := range []bool{false, true} {
+			got := mergeStream(FineConfig{}, FineDetectors(nil), accs, objOf, batch, adopt)
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("batch=%d adopt=%v: merged reports differ from sequential\nwant %+v\ngot  %+v", batch, adopt, want, got)
+			}
 		}
 	}
 }
 
 // TestMergeSaturationOrdering: with a tiny MaxTrackedValues the master must
 // reproduce global first-occurrence eviction — values that saturated the
-// sequential histogram stay evicted even if a later shard saw them first.
+// sequential histogram stay evicted even if a later shard saw them first,
+// and a value the master tracks keeps counting even where it comes past
+// the cap inside a shard.
 func TestMergeSaturationOrdering(t *testing.T) {
 	cfg := FineConfig{MaxTrackedValues: 2}
-	// Values: A A B C C A — cap 2 tracks {A, B}; C overflows; the final A
-	// accesses must still count toward A, not overflow.
-	vals := []float32{1, 1, 2, 3, 3, 1}
-	accs := make([]gpu.Access, len(vals))
-	for i, v := range vals {
-		accs[i] = f32Access(uint64(4*i), v, true)
-	}
 	objOf := func(int) int { return 1 }
-
-	seq := NewFineAccumulator(cfg)
-	for i, a := range accs {
-		seq.Add(objOf(i), a)
-	}
-	want := seq.Finalize()
-	if want[0].DistinctValues != 2 {
-		t.Fatalf("sequential distinct = %d, want 2 (saturated)", want[0].DistinctValues)
-	}
-
-	// Batch boundary after "A A B": the second shard sees C before A.
-	for _, batch := range []int{1, 2, 3, 4} {
-		got := mergeStream(cfg, accs, objOf, batch)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("batch=%d: saturation diverged\nwant %+v\ngot  %+v", batch, want, got)
+	for _, vals := range [][]float32{
+		// A A B C C A — cap 2 tracks {A, B}; C overflows; the final A
+		// accesses must still count toward A, not overflow.
+		{1, 1, 2, 3, 3, 1},
+		// A B C A — with batch 3 the first shard [A B C] is past the
+		// cap on its own: adopted or merged, C overflows and the last A
+		// still counts.
+		{1, 2, 3, 1},
+	} {
+		accs := make([]gpu.Access, len(vals))
+		for i, v := range vals {
+			accs[i] = f32Access(uint64(4*i), v, true)
+		}
+		seq := NewFineAccumulator(cfg)
+		for i, a := range accs {
+			seq.Add(objOf(i), a)
+		}
+		want := seq.Finalize()
+		if want[0].DistinctValues != 2 || !want[0].Saturated {
+			t.Fatalf("%v: sequential distinct = %d saturated=%v, want 2 (saturated)", vals, want[0].DistinctValues, want[0].Saturated)
+		}
+		for batch := 1; batch <= len(vals); batch++ {
+			for _, adopt := range []bool{false, true} {
+				got := mergeStream(cfg, FineDetectors(nil), accs, objOf, batch, adopt)
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%v batch=%d adopt=%v: saturation diverged\nwant %+v\ngot  %+v", vals, batch, adopt, want, got)
+				}
+			}
 		}
 	}
 }

@@ -42,7 +42,8 @@ func (g Grain) String() string {
 // the same factory) and the collector folds the partials into the launch
 // detector with Merge, in flush order — so a detector's merged state must
 // equal the state one sequential pass over the concatenated batches would
-// produce.
+// produce. A fresh detector merged with partial P must equal P, as a
+// launch adopts its first batch's detectors instead of merging them.
 type Detector interface {
 	// Observe ingests one access of data object objID. The accumulator
 	// has already folded the access into the object's shared observation.
@@ -87,8 +88,8 @@ type Registration struct {
 	Grain Grain
 	// Default enables the pattern when Config.Patterns is unset.
 	Default bool
-	// New builds the launch detector (fine kinds). nil for coarse kinds,
-	// whose snapshot machinery lives in the engine's coarse stage.
+	// New builds a batch shard's detector (fine kinds). nil for coarse
+	// kinds, whose snapshot machinery lives in the engine's coarse stage.
 	New func(cfg FineConfig) Detector
 	// Advise derives the advisor suggestion for one match (fine kinds);
 	// nil emits no per-match suggestions.
