@@ -85,9 +85,11 @@ proptest:
 # /v1/sessions/{id}/report and /v1/metrics, diff each per-session report
 # against the equivalent one-shot run, exercise admission quotas (202
 # queued / 429 rejected) and restart recovery from the persistent store —
-# plus a real SIGTERM drain of the re-executed binary.
+# plus a real SIGTERM drain of the re-executed binary — and bound the live
+# heap a finished session keeps.
 daemon-smoke:
 	$(GO) test -count=1 -run 'TestDaemonSmoke|TestGracefulSIGTERM|TestDaemonQuota|TestDaemonRestartRecovery' -v ./cmd/vxprofd
+	$(GO) test -count=1 -run 'TestFinishedSessionRetention' -v ./internal/daemon
 
 # cover enforces COVER_FLOOR percent statement coverage on COVER_PKGS.
 cover:

@@ -167,7 +167,6 @@ func TestConfigErrorsExitNonZero(t *testing.T) {
 		field string
 		cfg   valueexpert.Config
 	}{
-		{"MergeWorkers", valueexpert.Config{MergeWorkers: -1}},
 		{"BufferRecords", valueexpert.Config{BufferRecords: -64}},
 		{"CopyStrategy", valueexpert.Config{CopyStrategy: valueexpert.AdaptiveCopy + 1}},
 	}

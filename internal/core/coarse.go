@@ -63,7 +63,7 @@ func newCoarseStage(env Env) *coarseStage {
 		cfg:       env.Cfg,
 		tree:      env.Tree,
 		graph:     env.Graph,
-		merger:    interval.NewMerger(env.Cfg.MergeWorkers),
+		merger:    interval.NewMerger(0),
 		dup:       vpattern.NewDuplicateTracker(),
 		redundant: env.Patterns.Enabled(vpattern.RedundantValues),
 		duplicate: env.Patterns.Enabled(vpattern.DuplicateValues),

@@ -55,10 +55,6 @@ type Config struct {
 	// Figure 5). Default AdaptiveCopy.
 	CopyStrategy interval.CopyStrategy
 
-	// MergeWorkers sets the parallelism of the interval-merge "data
-	// processing kernel" (<=0: default).
-	MergeWorkers int
-
 	// AnalysisWorkers is the number of concurrent workers draining flushed
 	// sanitizer buffers — the analog of §6.1's data-processing kernels
 	// running alongside collection. 0 analyzes each buffer synchronously on

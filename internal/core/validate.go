@@ -32,10 +32,6 @@ func (cfg *Config) Validate() error {
 		return &ConfigError{Field: "PipelineDepth",
 			Reason: fmt.Sprintf("must be >= 0, got %d (0 = default pipeline depth)", cfg.PipelineDepth)}
 	}
-	if cfg.MergeWorkers < 0 {
-		return &ConfigError{Field: "MergeWorkers",
-			Reason: fmt.Sprintf("must be >= 0, got %d (0 = default parallelism)", cfg.MergeWorkers)}
-	}
 	if cfg.BufferRecords < 0 {
 		return &ConfigError{Field: "BufferRecords",
 			Reason: fmt.Sprintf("must be >= 0, got %d (0 = default capacity)", cfg.BufferRecords)}

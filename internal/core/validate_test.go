@@ -14,7 +14,7 @@ func TestConfigValidate(t *testing.T) {
 	valid := []Config{
 		{},
 		{Coarse: true, Fine: true, ReuseDistance: true},
-		{AnalysisWorkers: 8, PipelineDepth: 4, MergeWorkers: 2, BufferRecords: 1 << 20},
+		{AnalysisWorkers: 8, PipelineDepth: 4, BufferRecords: 1 << 20},
 		{Coarse: true, CopyStrategy: interval.AdaptiveCopy},
 		{Fine: true, Patterns: []string{"single zero", "heavy type"}},
 	}
@@ -30,7 +30,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{Config{AnalysisWorkers: -1}, "AnalysisWorkers"},
 		{Config{PipelineDepth: -2}, "PipelineDepth"},
-		{Config{MergeWorkers: -1}, "MergeWorkers"},
 		{Config{BufferRecords: -64}, "BufferRecords"},
 		{Config{KernelSamplingPeriod: -1}, "KernelSamplingPeriod"},
 		{Config{BlockSamplingPeriod: -5}, "BlockSamplingPeriod"},

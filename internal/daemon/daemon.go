@@ -16,7 +16,9 @@
 // cancel flag), so the service never touches a running session's
 // profiler. A session finalizes exactly once, on its own goroutine —
 // detach (which drains the pipeline), report, serialized bytes — and
-// everything served afterwards reads that immutable cached state.
+// then keeps only its artifacts: the runtime, the profiler and the
+// stage state are dropped, and everything served afterwards reads the
+// immutable artifact record.
 package daemon
 
 import (
@@ -430,34 +432,39 @@ func (s *Service) Shutdown() {
 }
 
 // Session is one attached application: a runtime, the engine profiling
-// it, and the stream handler goroutine in between. All exported methods
-// are safe from any goroutine.
+// it, and the stream handler goroutine in between. Once finalized, a
+// session keeps only its artifacts. All exported methods are safe from
+// any goroutine.
 type Session struct {
 	svc      *Service
 	id       string
 	seq      int
 	program  string
 	device   string
-	rt       *cuda.Runtime // nil on restored sessions
 	cfg      core.Config
 	tel      *telemetry.Recorder // nil on restored sessions
-	src      func(rt *cuda.Runtime) cuda.EventSource
 	traceOn  bool
 	traceFmt trace.Format
 	restored bool // loaded from the store at startup; never ran here
 
 	done chan struct{}
 
-	mu         sync.Mutex
-	state      State
-	closing    bool
-	prof       *core.Profiler
-	report     *profile.Report
+	mu      sync.Mutex
+	state   State
+	closing bool
+	// The engine, held only until finalization (never on restored
+	// sessions).
+	rt   *cuda.Runtime
+	src  func(rt *cuda.Runtime) cuda.EventSource
+	snap *snapshotter // set by the stream goroutine at attach time
+	// The artifacts, set at finalization. The report and trace bytes
+	// move to the store when one is attached (the manifest then carries
+	// their addresses).
+	manifest   *Manifest
 	reportJSON []byte
 	traceData  []byte
+	graph      *vflow.Graph
 	runErr     error
-	manifest   *Manifest    // set once spilled to (or restored from) the store
-	snap       *snapshotter // set by the stream goroutine at attach time
 
 	partialMu      sync.Mutex
 	partialWaiters []chan []byte
@@ -509,7 +516,7 @@ func (sess *Session) stream() {
 		}
 	}
 	// Detach drains any in-flight launch; from here the profiler is
-	// exclusively this goroutine's to read, and then immutable.
+	// exclusively this goroutine's to read, and then dropped.
 	p.Detach()
 	rep := p.Report()
 	var buf bytes.Buffer
@@ -529,72 +536,61 @@ func (sess *Session) stream() {
 		counter = "daemon.sessions_failed"
 	}
 
-	sess.mu.Lock()
-	sess.prof = p
-	sess.report = rep
-	sess.reportJSON = buf.Bytes()
-	if rec != nil {
-		sess.traceData = traceBuf.Bytes()
+	m := &Manifest{
+		ID: sess.id, Seq: sess.seq, Program: sess.program,
+		Device: sess.device, State: state, Degraded: rep.Degraded != nil,
 	}
+	if err != nil {
+		m.Error = err.Error()
+	}
+	rj, td := buf.Bytes(), []byte(nil)
+	if rec != nil {
+		td = traceBuf.Bytes()
+	}
+	if sess.svc.store != nil {
+		if sm := sess.spill(*m, rj, td); sm != nil {
+			m, rj, td = sm, nil, nil
+		}
+	}
+
+	// Keep the artifacts, drop the engine: with rt, snap and src gone
+	// nothing references the runtime's device memory, the sanitizer
+	// buffers or the stage state any more.
+	sess.mu.Lock()
+	sess.manifest = m
+	sess.reportJSON, sess.traceData = rj, td
+	sess.graph = p.Graph()
 	sess.runErr = err
 	sess.state = state
+	sess.rt, sess.snap, sess.src = nil, nil, nil
 	sess.mu.Unlock()
-	if sess.svc.store != nil {
-		sess.spill()
-	}
 	sess.svc.tel.Counter(counter).Inc()
 	close(sess.done)
 }
 
-// spill writes the finalized artifacts to the persistent store and
-// flushes the in-memory copies (GetAndFlush), so completed sessions
-// cost disk, not heap. On any store error the in-memory copies are kept
-// — a broken disk degrades to the old all-in-memory behavior.
-func (sess *Session) spill() {
+// spill writes the finalized bytes to the persistent store and returns
+// the stored manifest, so the caller can drop its in-memory copies
+// (GetAndFlush) and completed sessions cost disk, not heap. On any store
+// error it returns nil and the bytes stay in memory — a broken disk
+// degrades to the all-in-memory behavior.
+func (sess *Session) spill(m Manifest, rj, td []byte) *Manifest {
 	st := sess.svc.store
-	sess.mu.Lock()
-	m := &Manifest{
-		ID: sess.id, Seq: sess.seq, Program: sess.program,
-		Device: sess.device, State: sess.state,
-	}
-	if sess.report != nil && sess.report.Degraded != nil {
-		m.Degraded = true
-	}
-	if sess.runErr != nil {
-		m.Error = sess.runErr.Error()
-	}
-	rj, td := sess.reportJSON, sess.traceData
-	sess.mu.Unlock()
-
 	var err error
 	if len(rj) > 0 {
-		if m.Report, err = st.Put(rj); err != nil {
-			sess.svc.tel.Counter("daemon.store_errors").Inc()
-			return
-		}
+		m.Report, err = st.Put(rj)
 	}
-	if len(td) > 0 {
-		if m.Trace, err = st.Put(td); err != nil {
-			sess.svc.tel.Counter("daemon.store_errors").Inc()
-			return
-		}
+	if err == nil && len(td) > 0 {
+		m.Trace, err = st.Put(td)
 	}
-	if err := st.PutManifest(m); err != nil {
+	if err == nil {
+		err = st.PutManifest(&m)
+	}
+	if err != nil {
 		sess.svc.tel.Counter("daemon.store_errors").Inc()
-		return
+		return nil
 	}
-
-	sess.mu.Lock()
-	sess.manifest = m
-	// Evict: the serialized bytes (and the report they render from) now
-	// live in the store; the profiler — and with it the value-flow graph
-	// — is dropped too, so finished sessions hold no engine state.
-	sess.report = nil
-	sess.reportJSON = nil
-	sess.traceData = nil
-	sess.prof = nil
-	sess.mu.Unlock()
 	sess.svc.tel.Counter("daemon.sessions_spilled").Inc()
+	return &m
 }
 
 // ID returns the service-assigned session identifier.
@@ -619,12 +615,16 @@ func (sess *Session) Done() <-chan struct{} { return sess.done }
 // stream force-started against the canceled runtime, so it finalizes
 // (canceled, with a report) without waiting for a slot. Non-blocking
 // and safe at any time (the cancel flag is the one piece of runtime
-// state another goroutine may touch). No-op on restored sessions.
+// state another goroutine may touch). No-op on finished and restored
+// sessions.
 func (sess *Session) Cancel() {
-	if sess.rt == nil {
+	sess.mu.Lock()
+	rt := sess.rt
+	sess.mu.Unlock()
+	if rt == nil {
 		return
 	}
-	sess.rt.Cancel()
+	rt.Cancel()
 	sess.svc.forceStart(sess)
 }
 
@@ -655,17 +655,10 @@ func (sess *Session) Close() error {
 	return sess.Drain()
 }
 
-// Report returns the finalized report, or (nil, false) while the stream
-// handler still owns the profiler. After the session spilled to the
-// persistent store (or on a restored session), the report is parsed
-// back from the stored bytes.
+// Report parses the finalized report back from ReportJSON, or returns
+// (nil, false) while the stream handler still owns the profiler or when
+// the bytes cannot be read.
 func (sess *Session) Report() (*profile.Report, bool) {
-	sess.mu.Lock()
-	rep := sess.report
-	sess.mu.Unlock()
-	if rep != nil {
-		return rep, true
-	}
 	raw, ok := sess.ReportJSON()
 	if !ok {
 		return nil, false
@@ -681,25 +674,31 @@ func (sess *Session) Report() (*profile.Report, bool) {
 // ReportJSON returns the serialized report bytes cached at finalization
 // — exactly what Report.WriteJSON produced, so a session's report served
 // over HTTP is byte-identical to the one-shot artifact for the same
-// workload and configuration. After eviction the bytes load from the
+// workload and configuration. After a spill the bytes load from the
 // persistent store; content addressing guarantees they are the exact
 // finalized bytes, across restarts included.
 func (sess *Session) ReportJSON() ([]byte, bool) {
 	sess.mu.Lock()
 	raw, m := sess.reportJSON, sess.manifest
 	sess.mu.Unlock()
-	if raw != nil {
-		return raw, true
+	if m == nil {
+		return nil, false
 	}
-	if m != nil && m.Report != "" {
-		data, err := sess.svc.store.Get(m.Report)
-		if err != nil {
-			sess.svc.tel.Counter("daemon.store_errors").Inc()
-			return nil, false
-		}
-		return data, true
+	return sess.artifact(raw, m.Report)
+}
+
+// artifact returns a finalized artifact: the in-memory bytes, else the
+// stored blob at addr ("" = absent).
+func (sess *Session) artifact(raw []byte, addr string) ([]byte, bool) {
+	if raw != nil || addr == "" {
+		return raw, raw != nil
 	}
-	return nil, false
+	data, err := sess.svc.store.Get(addr)
+	if err != nil {
+		sess.svc.tel.Counter("daemon.store_errors").Inc()
+		return nil, false
+	}
+	return data, true
 }
 
 // TraceData returns the serialized trace container cached at
@@ -711,30 +710,18 @@ func (sess *Session) TraceData() ([]byte, bool) {
 	sess.mu.Lock()
 	raw, m := sess.traceData, sess.manifest
 	sess.mu.Unlock()
-	if raw != nil {
-		return raw, true
+	if m == nil {
+		return nil, false
 	}
-	if m != nil && m.Trace != "" {
-		data, err := sess.svc.store.Get(m.Trace)
-		if err != nil {
-			sess.svc.tel.Counter("daemon.store_errors").Inc()
-			return nil, false
-		}
-		return data, true
-	}
-	return nil, false
+	return sess.artifact(raw, m.Trace)
 }
 
 // Graph returns the session's value flow graph once finalized, nil while
-// running.
+// running and on restored sessions (the graph is not stored).
 func (sess *Session) Graph() *vflow.Graph {
 	sess.mu.Lock()
-	p := sess.prof
-	sess.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	return p.Graph()
+	defer sess.mu.Unlock()
+	return sess.graph
 }
 
 // Metrics exports the session's telemetry recorder. Restored sessions
@@ -773,17 +760,8 @@ func (sess *Session) Info() Info {
 	if sess.state == StateQueued {
 		info.Queue = pos
 	}
-	if sess.report != nil && sess.report.Degraded != nil {
-		info.Degraded = true
-	}
-	if sess.runErr != nil {
-		info.Error = sess.runErr.Error()
-	}
-	if sess.manifest != nil {
-		info.Degraded = sess.manifest.Degraded
-		if info.Error == "" {
-			info.Error = sess.manifest.Error
-		}
+	if m := sess.manifest; m != nil {
+		info.Degraded, info.Error = m.Degraded, m.Error
 	}
 	return info
 }

@@ -28,6 +28,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -36,6 +37,7 @@ import (
 	"valueexpert/gpu"
 	"valueexpert/internal/cliconfig"
 	"valueexpert/internal/gui"
+	"valueexpert/internal/profile"
 	"valueexpert/internal/workloads"
 )
 
@@ -181,40 +183,18 @@ func (s *Service) createSession(w http.ResponseWriter, r *http.Request, hc Handl
 		})
 		return
 	}
-	if err := opts.Validate(); err != nil {
-		writeAPIError(w, apiError(err, CodeInvalidOption))
-		return
-	}
-	cfg, err := opts.EngineConfig(wl.Name())
-	if err != nil {
-		writeAPIError(w, apiError(err, CodeInvalidOption))
-		return
-	}
-	plan, err := opts.FaultPlan()
-	if err != nil {
-		writeAPIError(w, apiError(err, CodeInvalidOption))
-		return
-	}
-	traceFormat, err := opts.Format()
-	if err != nil {
-		writeAPIError(w, apiError(err, CodeInvalidOption))
+	sc, ae := optionsConfig(&opts, wl.Name())
+	if ae != nil {
+		writeAPIError(w, ae)
 		return
 	}
 	variant := workloads.Original
 	if req.Optimized {
 		variant = workloads.Optimized
 	}
-	sess, err := s.Attach(SessionConfig{
-		Program:     wl.Name(),
-		Device:      prof,
-		Engine:      cfg,
-		Faults:      plan,
-		Trace:       req.Trace,
-		TraceFormat: traceFormat,
-		Run: func(rt *cuda.Runtime) error {
-			return wl.Run(rt, variant)
-		},
-	})
+	sc.Device, sc.Trace = prof, req.Trace
+	sc.Run = func(rt *cuda.Runtime) error { return wl.Run(rt, variant) }
+	sess, err := s.Attach(sc)
 	if err != nil {
 		writeAPIError(w, apiError(err, CodeInvalidRequest))
 		return
@@ -229,12 +209,35 @@ func (s *Service) createSession(w http.ResponseWriter, r *http.Request, hc Handl
 	writeJSON(w, status, info)
 }
 
+// optionsConfig resolves validated options into the engine config, fault
+// plan and trace format of a session for program — the tail POST
+// /v1/sessions and remote attach share. Every error is an
+// invalid_option envelope.
+func optionsConfig(opts *cliconfig.Options, program string) (SessionConfig, *APIError) {
+	sc := SessionConfig{Program: program}
+	err := opts.Validate()
+	if err == nil {
+		sc.Engine, err = opts.EngineConfig(program)
+	}
+	if err == nil {
+		sc.Faults, err = opts.FaultPlan()
+	}
+	if err == nil {
+		sc.TraceFormat, err = opts.Format()
+	}
+	if err != nil {
+		return sc, apiError(err, CodeInvalidOption)
+	}
+	return sc, nil
+}
+
 // serveReport emits one session's report. JSON (the default) serves the
-// cached serialized bytes untouched; text and html render from the
-// cached report. A running session 409s unless ?wait=1 blocks until it
-// finalizes or ?partial=1 snapshots the aggregate mid-run (JSON only;
+// cached serialized bytes untouched; text and html render from those
+// bytes parsed back. A running session 409s unless ?wait=1 blocks until
+// it finalizes or ?partial=1 snapshots the aggregate mid-run (JSON only;
 // the response carries ValueExpert-Partial: true while the session is
-// still running).
+// still running). A finished session whose bytes cannot be read answers
+// the internal envelope.
 func (s *Service) serveReport(w http.ResponseWriter, r *http.Request, sess *Session) {
 	format := r.URL.Query().Get("format")
 	if r.URL.Query().Get("partial") == "1" {
@@ -259,41 +262,50 @@ func (s *Service) serveReport(w http.ResponseWriter, r *http.Request, sess *Sess
 		w.Write(raw)
 		return
 	}
-	if r.URL.Query().Get("wait") == "1" {
-		<-sess.Done()
+	if !finished(w, r, sess, "retry with ?wait=1, or ?partial=1 for a snapshot") {
+		return
 	}
-	rep, ok := sess.Report()
+	raw, ok := sess.ReportJSON()
 	if !ok {
 		writeAPIError(w, &APIError{
-			Code:    CodeSessionRunning,
-			Message: fmt.Sprintf("session %s is still running (retry with ?wait=1, or ?partial=1 for a snapshot)", sess.ID()),
+			Code: CodeInternal, Message: fmt.Sprintf("session %s: report could not be loaded", sess.ID()),
 		})
 		return
 	}
 	switch format {
 	case "", "json":
-		raw, _ := sess.ReportJSON()
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(raw)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, rep.Text())
-	case "html":
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, gui.RenderHTML(rep, sess.Graph(), gui.Options{}))
+		return
+	case "text", "html":
 	default:
 		writeAPIError(w, &APIError{
 			Code:    CodeInvalidRequest,
 			Message: fmt.Sprintf("unknown format %q (want json, text, or html)", format),
 			Field:   "format",
 		})
+		return
 	}
+	rep, err := profile.ReadJSON(bytes.NewReader(raw))
+	if err != nil {
+		writeAPIError(w, &APIError{
+			Code: CodeInternal, Message: fmt.Sprintf("session %s: report: %v", sess.ID(), err),
+		})
+		return
+	}
+	if format == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprint(w, rep.Text())
+		return
+	}
+	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	fmt.Fprint(w, gui.RenderHTML(rep, sess.Graph(), gui.Options{}))
 }
 
-// serveTrace emits the session's recorded trace container as raw bytes.
-// A running session 409s unless ?wait=1 blocks; a session attached
-// without tracing 404s.
-func (s *Service) serveTrace(w http.ResponseWriter, r *http.Request, sess *Session) {
+// finished applies ?wait=1 (block until sess finalizes) and reports
+// whether sess has finished, answering 409 with the retry hint when it
+// is still queued or running.
+func finished(w http.ResponseWriter, r *http.Request, sess *Session, retry string) bool {
 	if r.URL.Query().Get("wait") == "1" {
 		<-sess.Done()
 	}
@@ -301,8 +313,18 @@ func (s *Service) serveTrace(w http.ResponseWriter, r *http.Request, sess *Sessi
 	case StateRunning, StateQueued:
 		writeAPIError(w, &APIError{
 			Code:    CodeSessionRunning,
-			Message: fmt.Sprintf("session %s is still running (retry with ?wait=1)", sess.ID()),
+			Message: fmt.Sprintf("session %s is still running (%s)", sess.ID(), retry),
 		})
+		return false
+	}
+	return true
+}
+
+// serveTrace emits the session's recorded trace container as raw bytes.
+// A running session 409s unless ?wait=1 blocks; a session attached
+// without tracing 404s.
+func (s *Service) serveTrace(w http.ResponseWriter, r *http.Request, sess *Session) {
+	if !finished(w, r, sess, "retry with ?wait=1") {
 		return
 	}
 	data, ok := sess.TraceData()

@@ -207,34 +207,20 @@ func (as *AttachServer) handle(conn net.Conn) {
 	if opts.Scale < 1 {
 		opts.Scale = workloads.Scale
 	}
-	if err := opts.Validate(); err != nil {
-		enc.Encode(attachReply{Error: apiError(err, CodeInvalidOption)})
-		return
-	}
-	cfg, err := opts.EngineConfig(req.Program)
-	if err != nil {
-		enc.Encode(attachReply{Error: apiError(err, CodeInvalidOption)})
-		return
-	}
-	tf, err := opts.Format()
-	if err != nil {
-		enc.Encode(attachReply{Error: apiError(err, CodeInvalidOption)})
+	sc, ae := optionsConfig(&opts, req.Program)
+	if ae != nil {
+		enc.Encode(attachReply{Error: ae})
 		return
 	}
 
 	// Everything the decoder over-read during the handshake belongs to
 	// the trace stream that follows.
 	stream := io.MultiReader(dec.Buffered(), conn)
-	sess, err := as.svc.Attach(SessionConfig{
-		Program:     req.Program,
-		Device:      prof,
-		Engine:      cfg,
-		Trace:       req.Trace,
-		TraceFormat: tf,
-		Source: func(rt *cuda.Runtime) cuda.EventSource {
-			return trace.NewSourceOn(stream, rt)
-		},
-	})
+	sc.Device, sc.Trace = prof, req.Trace
+	sc.Source = func(rt *cuda.Runtime) cuda.EventSource {
+		return trace.NewSourceOn(stream, rt)
+	}
+	sess, err := as.svc.Attach(sc)
 	if err != nil {
 		enc.Encode(attachReply{Error: apiError(err, CodeInternal)})
 		return

@@ -1,7 +1,8 @@
 // The persistent report store: completed sessions spill their immutable
 // artifacts — the serialized report and, when recorded, the VXTR trace
 // container — to a content-addressed directory, and the in-memory copies
-// are flushed. Memory then stays bounded by *running* sessions, and
+// are flushed. A finished session then holds only its manifest, graph and
+// metrics in memory, and
 // GET /v1/sessions/{id}/report survives a daemon restart: a new Service
 // opened on the same store lists the stored sessions and serves their
 // exact finalized bytes (content addressing makes "exact" structural —
