@@ -34,8 +34,13 @@ vet:
 test:
 	$(GO) test ./...
 
+# race also reruns the pipeline tests on a single P, where the
+# kernel-execution goroutine, the compaction workers and the collector
+# share one processor and only the Go runtime's preemption interleaves
+# them.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1 -run 'TestPipeline' ./internal/core
 
 bench:
 	$(GO) test -bench . -benchmem

@@ -27,13 +27,6 @@ type Batch struct {
 	// resolves IDs once per batch so every stage shares one lookup pass.
 	IDs []int
 
-	// Yield marks batches compacted on background workers: stages should
-	// give up the processor periodically (yieldStride records) so that,
-	// when GOMAXPROCS is no larger than the worker count, the
-	// kernel-execution goroutine's timers and buffer hand-offs stay
-	// prompt — background analysis must never stall collection.
-	Yield bool
-
 	// rangeOff/rangeBytes hold flush-time captures of the bytes behind
 	// compacted load-range records (Count>1 loads), packed into one
 	// reusable buffer; rangeOff[i] is record i's offset in it plus one
@@ -54,12 +47,6 @@ func (b *Batch) RangeVal(i int) []byte {
 	off := b.rangeOff[i] - 1
 	return b.rangeBytes[off : off+int(b.Recs[i].Bytes())]
 }
-
-// yieldStride is how often Yield-marked work gives up the processor: a
-// runtime.Gosched every record measurably throttles the analysis on
-// small GOMAXPROCS, while every 1024 records still bounds scheduling
-// latency to microseconds.
-const yieldStride = 1024
 
 // Partial is one stage's compacted, order-independent result for one
 // batch, ready for in-order absorption into the stage's launch state.

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"runtime"
+	"slices"
 	"time"
 
 	"valueexpert/callpath"
@@ -278,82 +278,61 @@ func (s *coarseStage) onMemcpy(ev *cuda.APIEvent) {
 	s.appendRecord(ev, accesses)
 }
 
-// coarseLaunch accumulates one instrumented launch's access intervals and
-// byte counters per data object.
+// coarseLaunch accumulates one instrumented launch's per-object read
+// bytes and write intervals. Reads only count bytes; written bytes come
+// from the merged write intervals, which also drive the snapshot diff.
 type coarseLaunch struct {
-	readIvs  map[int][]interval.Interval
-	writeIvs map[int][]interval.Interval
 	readB    map[int]uint64
-	writeB   map[int]uint64
+	writeIvs map[int][]interval.Interval
 }
 
-func (s *coarseStage) LaunchBegin(string) LaunchAnalysis {
+func newCoarseLaunch() *coarseLaunch {
 	return &coarseLaunch{
-		readIvs:  make(map[int][]interval.Interval),
-		writeIvs: make(map[int][]interval.Interval),
 		readB:    make(map[int]uint64),
-		writeB:   make(map[int]uint64),
+		writeIvs: make(map[int][]interval.Interval),
 	}
 }
 
-// coarsePartial is one batch's compacted intervals and counters.
-type coarsePartial struct {
-	readIvs, writeIvs map[int][]interval.Interval
-	readB, writeB     map[int]uint64
-}
+func (s *coarseStage) LaunchBegin(string) LaunchAnalysis { return newCoarseLaunch() }
 
-// activeRun is an open coalescing run for one (object, op) pair.
+// activeRun is an open coalescing run of one object's writes.
 type activeRun struct {
 	id    int
-	store bool
 	iv    interval.Interval
 	valid bool
 }
 
-// Compact performs warp-style compaction of the batch's intervals per
-// (object, operation) pair. Consecutive records overwhelmingly hit the
-// same data object at adjacent addresses (coalesced warps), so compaction
-// is a linear pass that extends open runs — the cheap, GPU-friendly
-// processing §6.1 implements with warp shuffle primitives — with the
-// final parallel merge cleaning up whatever disorder remains.
+// Compact counts the batch's read bytes per object and performs
+// warp-style compaction of its write intervals per object. Consecutive
+// records overwhelmingly hit the same data object at adjacent addresses
+// (coalesced warps), so compaction is a linear pass that extends open
+// runs — the cheap, GPU-friendly processing §6.1 implements with warp
+// shuffle primitives — with the final parallel merge cleaning up
+// whatever disorder remains. The partial is a *coarseLaunch.
 func (*coarseLaunch) Compact(b *Batch) Partial {
-	cp := &coarsePartial{
-		readIvs:  make(map[int][]interval.Interval),
-		writeIvs: make(map[int][]interval.Interval),
-		readB:    make(map[int]uint64),
-		writeB:   make(map[int]uint64),
-	}
-	// A handful of open runs covers the access interleavings real kernels
+	cp := newCoarseLaunch()
+	// A handful of open runs covers the write interleavings real kernels
 	// produce (a few operands per loop body).
 	var runs [6]activeRun
 	flush := func(r *activeRun) {
-		if !r.valid {
-			return
-		}
-		if r.store {
+		if r.valid {
 			cp.writeIvs[r.id] = append(cp.writeIvs[r.id], r.iv)
-		} else {
-			cp.readIvs[r.id] = append(cp.readIvs[r.id], r.iv)
+			r.valid = false
 		}
-		r.valid = false
 	}
 
 	for i, a := range b.Recs {
-		if b.Yield && i%yieldStride == 0 {
-			runtime.Gosched()
-		}
 		id := b.IDs[i]
 		if id < 0 {
 			continue // defensive: racing frees
 		}
-		iv := interval.FromAccess(a)
-		if a.Store {
-			cp.writeB[id] += a.Bytes()
-		} else {
+		if !a.Store {
 			cp.readB[id] += a.Bytes()
+			continue
 		}
+		iv := interval.FromAccess(a)
 
-		// Extend an open run if the access touches or overlaps it.
+		// Extend an open run if the write touches or overlaps it.
 		merged := false
 		free := -1
 		for s := range runs {
@@ -364,7 +343,7 @@ func (*coarseLaunch) Compact(b *Batch) Partial {
 				}
 				continue
 			}
-			if r.id == id && r.store == a.Store && iv.Start <= r.iv.End && iv.End >= r.iv.Start {
+			if r.id == id && iv.Start <= r.iv.End && iv.End >= r.iv.Start {
 				if iv.End > r.iv.End {
 					r.iv.End = iv.End
 				}
@@ -381,7 +360,7 @@ func (*coarseLaunch) Compact(b *Batch) Partial {
 				flush(&runs[0])
 				free = 0
 			}
-			runs[free] = activeRun{id: id, store: a.Store, iv: iv, valid: true}
+			runs[free] = activeRun{id: id, iv: iv, valid: true}
 		}
 	}
 	for s := range runs {
@@ -390,22 +369,16 @@ func (*coarseLaunch) Compact(b *Batch) Partial {
 	return cp
 }
 
-// Absorb appends a batch's interval partials and folds its byte counters.
+// Absorb folds a batch's read counters and appends its write intervals.
 // Interval order across batches is canonicalized later by the parallel
 // merge; the counters are additive — both combine deterministically.
 func (la *coarseLaunch) Absorb(pt Partial) {
-	cp := pt.(*coarsePartial)
-	for id, ivs := range cp.readIvs {
-		la.readIvs[id] = append(la.readIvs[id], ivs...)
-	}
-	for id, ivs := range cp.writeIvs {
-		la.writeIvs[id] = append(la.writeIvs[id], ivs...)
-	}
+	cp := pt.(*coarseLaunch)
 	for id, n := range cp.readB {
 		la.readB[id] += n
 	}
-	for id, n := range cp.writeB {
-		la.writeB[id] += n
+	for id, ivs := range cp.writeIvs {
+		la.writeIvs[id] = append(la.writeIvs[id], ivs...)
 	}
 }
 
@@ -422,7 +395,7 @@ func (s *coarseStage) LaunchEnd(ev *cuda.APIEvent, la LaunchAnalysis) {
 	}
 	cl := la.(*coarseLaunch)
 	var accesses []profile.ObjectAccess
-	for _, id := range sortedKeys(cl.readIvs, cl.writeIvs) {
+	for _, id := range objectIDs(cl) {
 		if id == 0 {
 			continue // shared memory: per-kernel scratch, no global flow
 		}
@@ -502,22 +475,17 @@ func uniformBytes(b []byte) bool {
 	return true
 }
 
-func sortedKeys(ms ...map[int][]interval.Interval) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, m := range ms {
-		for id := range m {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
+// objectIDs returns, ascending, every object the launch read or wrote.
+func objectIDs(cl *coarseLaunch) []int {
+	out := make([]int, 0, len(cl.readB)+len(cl.writeIvs))
+	for id := range cl.readB {
+		out = append(out, id)
+	}
+	for id := range cl.writeIvs {
+		if _, ok := cl.readB[id]; !ok {
+			out = append(out, id)
 		}
 	}
-	// insertion sort: key counts are small
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -109,9 +109,10 @@ func TestCustomAnalysisStage(t *testing.T) {
 }
 
 // TestConcurrentSessionsByteIdentical: two Sessions profiling different
-// workloads at the same time share the process-wide scheduler, and each
-// must still emit a report byte-identical to its solo run. Run under
-// -race this also proves the engines share no mutable state.
+// workloads at the same time, with their analysis goroutines interleaved
+// by the Go runtime, and each must still emit a report byte-identical to
+// its solo run. Run under -race this also proves the engines share no
+// mutable state.
 func TestConcurrentSessionsByteIdentical(t *testing.T) {
 	oldScale := workloads.Scale
 	workloads.Scale = 64

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 
 	"valueexpert/cuda"
@@ -65,9 +64,6 @@ func (s *fineStage) LaunchBegin(string) LaunchAnalysis {
 func (la *fineLaunch) Compact(b *Batch) Partial {
 	shard := la.st.shards.Get().(*vpattern.FineAccumulator)
 	for i, a := range b.Recs {
-		if b.Yield && i%yieldStride == 0 {
-			runtime.Gosched()
-		}
 		id := b.IDs[i]
 		if id < 0 {
 			continue

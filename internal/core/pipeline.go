@@ -12,7 +12,6 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 
@@ -46,9 +45,9 @@ type pipeline struct {
 }
 
 // newPipeline builds the execution path for launch state ls: an inline
-// executor when workers <= 0, else workers compaction workers — each
-// leasing a slot from the shared scheduler around every batch — plus the
-// ordered collector.
+// executor when workers <= 0, else workers compaction goroutines plus the
+// ordered collector. The Go runtime multiplexes them onto the host's
+// processors alongside the kernel-execution goroutine.
 func (p *Profiler) newPipeline(ls *launchState, workers, depth int) *pipeline {
 	pl := &pipeline{p: p, ls: ls}
 	if workers <= 0 {
@@ -63,14 +62,9 @@ func (p *Profiler) newPipeline(ls *launchState, workers, depth int) *pipeline {
 		go func() {
 			defer pl.workers.Done()
 			for pb := range pl.work {
-				// Blocking acquire is deadlock-free here: compaction is
-				// finite leaf work that holds no other slot or lock, so
-				// every held slot is eventually released.
-				p.sched.Acquire()
 				sp := p.tel.Span(lane, "analysis", "compact")
 				parts := p.compact(pl.ls, pb.b)
 				sp.End()
-				p.sched.Release()
 				// Partials are self-contained: the record buffer can
 				// return to the sanitizer before absorption, so holding
 				// partials downstream never starves collection.
@@ -108,7 +102,6 @@ func (pl *pipeline) submit(b *Batch) {
 		sp.End()
 		return
 	}
-	b.Yield = true
 	pb := &pendingBatch{b: b, done: make(chan []Partial, 1)}
 	pl.pending <- pb
 	pl.work <- pb
@@ -167,9 +160,6 @@ func (p *Profiler) resolveObjects(b *Batch) {
 	}
 	var cached *gpu.Allocation
 	for i, a := range b.Recs {
-		if b.Yield && i%yieldStride == 0 {
-			runtime.Gosched()
-		}
 		alloc := cached
 		if alloc == nil || !alloc.Contains(a.Addr) {
 			alloc = mem.Lookup(a.Addr)
@@ -220,7 +210,6 @@ func (p *Profiler) releaseBatch(b *Batch) {
 	b.IDs = b.IDs[:0]
 	b.rangeBytes = b.rangeBytes[:0]
 	b.rangeOff = b.rangeOff[:0]
-	b.Yield = false
 	p.batchPool.Put(b)
 }
 

@@ -16,7 +16,6 @@ import (
 	"valueexpert/cuda"
 	"valueexpert/gpu"
 	"valueexpert/internal/interval"
-	"valueexpert/internal/parallel"
 	"valueexpert/internal/profile"
 	"valueexpert/internal/sanitizer"
 	"valueexpert/internal/telemetry"
@@ -90,11 +89,11 @@ type Config struct {
 	Analyses []AnalysisFactory
 
 	// Telemetry, when non-nil, threads self-observation probes through
-	// every engine layer: per-stage timers and counters, pipeline and
-	// scheduler gauges, and (with a trace sink attached to the recorder)
-	// a Chrome trace-event self-trace. nil — the default — keeps the
-	// engine's hot paths probe-free; enabling telemetry never perturbs
-	// the emitted report.
+	// every engine layer: per-stage timers and counters, pipeline
+	// gauges, and (with a trace sink attached to the recorder) a Chrome
+	// trace-event self-trace. nil — the default — keeps the engine's hot
+	// paths probe-free; enabling telemetry never perturbs the emitted
+	// report.
 	Telemetry *telemetry.Recorder
 
 	// Program names the profiled application in reports.
@@ -111,7 +110,6 @@ type Profiler struct {
 	tree  *callpath.Tree
 	graph *vflow.Graph
 	san   *sanitizer.Engine
-	sched *parallel.Scheduler
 
 	// stages are the registered analyses, lifecycle-driven in this order.
 	stages []Analysis
@@ -149,9 +147,6 @@ type Profiler struct {
 	// every probe a no-op) unless Config.Telemetry carries a recorder.
 	tel    *telemetry.Recorder
 	probes engineProbes
-	// schedProbes remembers that this profiler attached probes to the
-	// shared scheduler, so Detach can remove them.
-	schedProbes bool
 }
 
 // launchState tracks one instrumented kernel launch in flight: the
@@ -192,7 +187,6 @@ func Attach(rt *cuda.Runtime, cfg Config) *Profiler {
 		patterns:    patterns,
 		rt:          rt,
 		tree:        callpath.NewTree(),
-		sched:       parallel.Shared(),
 		pendingFree: -1,
 	}
 	p.graph = vflow.New(p.tree)
@@ -241,15 +235,8 @@ func Profile(src cuda.EventSource, cfg Config) (*Profiler, error) {
 	return cuda.Drive(src, func(rt *cuda.Runtime) *Profiler { return Attach(rt, cfg) })
 }
 
-// Detach removes the profiler from its runtime and releases any probes
-// it attached to shared infrastructure.
-func (p *Profiler) Detach() {
-	p.rt.SetInterceptor(nil)
-	if p.schedProbes {
-		p.sched.SetProbes(nil)
-		p.schedProbes = false
-	}
-}
+// Detach removes the profiler from its runtime.
+func (p *Profiler) Detach() { p.rt.SetInterceptor(nil) }
 
 // Graph returns the program-wide value flow graph built so far.
 func (p *Profiler) Graph() *vflow.Graph { return p.graph }

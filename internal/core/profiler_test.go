@@ -9,6 +9,7 @@ import (
 	"valueexpert/cuda"
 	"valueexpert/gpu"
 	"valueexpert/internal/interval"
+	"valueexpert/internal/profile"
 	"valueexpert/internal/vflow"
 )
 
@@ -465,6 +466,95 @@ func TestSharedMemoryExcludedFromGraph(t *testing.T) {
 	for _, e := range p.Graph().Edges() {
 		if e.Object == 0 {
 			t.Fatalf("shared memory leaked into graph: %+v", e)
+		}
+	}
+}
+
+// TestCoarseAccountingUnderRunEviction checks the coarse stage's per-object
+// byte accounting on a kernel whose every thread interleaves reads and
+// writes across more objects than compaction keeps open runs, so runs are
+// evicted and re-opened throughout each batch. Every figure is computed by
+// hand from the kernel below, at synchronous and pipelined settings.
+func TestCoarseAccountingUnderRunEviction(t *testing.T) {
+	const n, rw = 256, 8 // elements per object; objects both read and written
+	for _, s := range []struct{ workers, depth int }{{0, 1}, {4, 3}} {
+		rt, p := newProfiled(t, Config{
+			Coarse: true, BufferRecords: 64,
+			AnalysisWorkers: s.workers, PipelineDepth: s.depth,
+		})
+		// Objects 0..rw-1 are read and written, object rw is only read and
+		// object rw+1 only written; every byte starts defined as zero.
+		// Changed elements store 1.1f (0x3f8ccccd), which has no zero byte,
+		// so the byte-level diff counts each of them as wholly changed.
+		objs := make([]cuda.DevPtr, rw+2)
+		for k := range objs {
+			var err error
+			if objs[k], err = rt.MallocF32(n, "obj"); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Memset(objs[k], 0, 4*n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kern := &gpu.GoKernel{
+			Name: "interleave",
+			Func: func(th *gpu.Thread) {
+				i := th.GlobalID()
+				if i >= n {
+					return
+				}
+				for k := 0; k < rw; k++ {
+					addr := uint64(objs[k]) + uint64(4*i)
+					th.LoadF32(gpu.PC(2*k), addr)
+					// Object k is written by its first n-32k threads; even
+					// threads store the zero already there.
+					if i < n-32*k {
+						th.StoreF32(gpu.PC(2*k+1), addr, float32(i%2)*1.1)
+					}
+				}
+				th.LoadF32(2*rw, uint64(objs[rw])+uint64(4*i))
+				th.StoreF32(2*rw+1, uint64(objs[rw+1])+uint64(4*i), 1.1)
+			},
+		}
+		if err := rt.Launch(kern, gpu.Dim1(n/64), gpu.Dim1(64)); err != nil {
+			t.Fatal(err)
+		}
+		p.Detach()
+
+		type acct struct{ read, written, unchanged uint64 }
+		want := map[int]acct{}
+		for k := 0; k < rw; k++ {
+			w := uint64(4 * (n - 32*k))
+			want[k] = acct{read: 4 * n, written: w, unchanged: w / 2}
+		}
+		want[rw] = acct{read: 4 * n}
+		want[rw+1] = acct{written: 4 * n}
+
+		var got []profile.ObjectAccess
+		for _, c := range p.Report().Coarse {
+			if c.Name == "interleave" {
+				got = c.Objects
+			}
+		}
+		if len(got) != len(objs) {
+			t.Fatalf("w%d/d%d: %d objects in the kernel record, want %d: %+v", s.workers, s.depth, len(got), len(objs), got)
+		}
+		for k, ptr := range objs {
+			id := rt.Device().Mem.Lookup(uint64(ptr)).ID
+			w := want[k]
+			var oa *profile.ObjectAccess
+			for j := range got {
+				if got[j].ObjectID == id {
+					oa = &got[j]
+				}
+			}
+			if oa == nil {
+				t.Fatalf("w%d/d%d: object %d missing from the kernel record", s.workers, s.depth, k)
+			}
+			if oa.ReadBytes != w.read || oa.WrittenBytes != w.written || oa.UnchangedBytes != w.unchanged {
+				t.Errorf("w%d/d%d: object %d read/written/unchanged = %d/%d/%d, want %d/%d/%d",
+					s.workers, s.depth, k, oa.ReadBytes, oa.WrittenBytes, oa.UnchangedBytes, w.read, w.written, w.unchanged)
+			}
 		}
 	}
 }

@@ -1,18 +1,17 @@
 // Engine self-observability: when Config.Telemetry carries a recorder,
 // Attach threads probes through every layer — sanitizer flush volume and
 // buffer-wait stalls, per-stage compact/absorb timers, pipeline occupancy
-// and drain waits, scheduler utilization, interval-merge volumes, and the
-// coarse stage's snapshot diff/apply timers with per-strategy copy
-// traffic — and declares the self-trace lanes (kernel execution, the
-// collector, one lane per analysis worker). With a nil recorder every
-// probe is nil and the engine's hot paths pay only pointer tests.
+// and drain waits, interval-merge volumes, and the coarse stage's
+// snapshot diff/apply timers with per-strategy copy traffic — and
+// declares the self-trace lanes (kernel execution, the collector, one
+// lane per analysis worker). With a nil recorder every probe is nil and
+// the engine's hot paths pay only pointer tests.
 package core
 
 import (
 	"fmt"
 
 	"valueexpert/internal/faultinject"
-	"valueexpert/internal/parallel"
 	"valueexpert/internal/profile"
 	"valueexpert/internal/sanitizer"
 	"valueexpert/internal/telemetry"
@@ -86,15 +85,6 @@ func (p *Profiler) initTelemetry() {
 		p.probes.finalize[i] = tel.Timer("stage." + st.Name() + ".finalize")
 		p.probes.batches[i] = tel.Counter("stage." + st.Name() + ".batches")
 	}
-
-	// Eager creation: every sanitizer/scheduler key appears in the export
-	// even when the run never exercises it.
-	p.sched.SetProbes(&parallel.SchedProbes{
-		Acquires: tel.Counter("scheduler.acquires"),
-		InUse:    tel.Gauge("scheduler.in_use"),
-		Wait:     tel.Timer("scheduler.wait"),
-	})
-	p.schedProbes = true
 
 	tel.DeclareLane(telemetry.LaneKernel, "kernel execution")
 	tel.DeclareLane(telemetry.LaneCollector, "collector")

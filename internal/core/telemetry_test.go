@@ -59,8 +59,8 @@ func TestTelemetryPreservesReportBytes(t *testing.T) {
 }
 
 // TestTelemetryPerStageMetrics checks the metric vocabulary the export
-// promises: per-stage timers, per-strategy snapshot counters, scheduler
-// and pipeline gauges.
+// promises: per-stage timers, per-strategy snapshot counters and the
+// pipeline gauge.
 func TestTelemetryPerStageMetrics(t *testing.T) {
 	rt := cuda.NewRuntime(gpu.RTX2080Ti)
 	tel := telemetry.New()
@@ -82,14 +82,14 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 		"collector.flush_capture", "pipeline.drain_wait",
 		"stage.coarse.compact", "stage.coarse.absorb",
 		"stage.fine.compact", "stage.fine.absorb",
-		"scheduler.wait", "snapshot.diff", "snapshot.apply", "merge.time",
+		"snapshot.diff", "snapshot.apply", "merge.time",
 	} {
 		if _, ok := m.Timers[timer]; !ok {
 			t.Errorf("timer %q missing from export (have %v)", timer, keys(m.Timers))
 		}
 	}
 	for _, counter := range []string{
-		"sanitizer.flushes", "sanitizer.records", "scheduler.acquires",
+		"sanitizer.flushes", "sanitizer.records",
 		"stage.coarse.batches", "stage.fine.batches",
 		"snapshot.copy_bytes.direct", "snapshot.copy_calls.direct",
 		"merge.input_intervals", "merge.output_intervals",
@@ -98,16 +98,11 @@ func TestTelemetryPerStageMetrics(t *testing.T) {
 			t.Errorf("counter %q missing from export (have %v)", counter, keys(m.Counters))
 		}
 	}
-	for _, gauge := range []string{"pipeline.occupancy", "scheduler.in_use"} {
-		if _, ok := m.Gauges[gauge]; !ok {
-			t.Errorf("gauge %q missing from export (have %v)", gauge, keys(m.Gauges))
-		}
+	if _, ok := m.Gauges["pipeline.occupancy"]; !ok {
+		t.Errorf("gauge %q missing from export (have %v)", "pipeline.occupancy", keys(m.Gauges))
 	}
 	if m.Counters["sanitizer.records"] == 0 {
 		t.Error("no access records counted")
-	}
-	if m.Gauges["scheduler.in_use"].Count == 0 {
-		t.Error("scheduler utilization never sampled")
 	}
 
 	// The export must be valid JSON with the documented envelope.

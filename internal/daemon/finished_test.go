@@ -324,3 +324,49 @@ func isDone(sess *Session) bool {
 		return false
 	}
 }
+
+// TestCreateBodyBound: a POST /v1/sessions body over maxCreateBody is
+// refused 413 with the invalid_request envelope before the daemon reads
+// it all, and the daemon goes on serving: the next normal POST creates
+// its session.
+func TestCreateBodyBound(t *testing.T) {
+	defer func(s int) { workloads.Scale = s }(workloads.Scale)
+	workloads.Scale = 64
+	svc := NewService()
+	defer svc.Shutdown()
+	srv := httptest.NewServer(svc.Handler(HandlerConfig{Defaults: retentionOpts(), Device: "RTX 2080 Ti"}))
+	defer srv.Close()
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+
+	// Valid JSON naming no bundled workload: read whole, it would be
+	// refused 400 unknown_workload instead.
+	status, raw := post(`{"workload": "` + strings.Repeat("x", maxCreateBody) + `"}`)
+	var env errorEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil || env.Error == nil {
+		t.Fatalf("over-limit POST: body %.200q is not an error envelope", raw)
+	}
+	if status != http.StatusRequestEntityTooLarge || env.Error.Code != CodeInvalidRequest {
+		t.Fatalf("over-limit POST = %d %q, want 413 %q", status, env.Error.Code, CodeInvalidRequest)
+	}
+
+	status, raw = post(`{"workload": "` + retentionWorkload + `"}`)
+	var info Info
+	if err := json.Unmarshal(raw, &info); err != nil || status != http.StatusCreated {
+		t.Fatalf("POST after the over-limit one = %d: %s", status, raw)
+	}
+	if status, body := httpGet(t, srv.URL+"/v1/sessions/"+info.ID+"/report?wait=1"); status != http.StatusOK {
+		t.Fatalf("report of %s = %d: %.200s", info.ID, status, body)
+	}
+}

@@ -30,6 +30,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -132,12 +133,21 @@ type createRequest struct {
 	Options json.RawMessage `json:"options"`
 }
 
+// maxCreateBody bounds a POST /v1/sessions body. A real request is a
+// few hundred bytes; the bound keeps one request from making the daemon
+// buffer an arbitrary amount of memory.
+const maxCreateBody = 1 << 20
+
 func (s *Service) createSession(w http.ResponseWriter, r *http.Request, hc HandlerConfig) {
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeAPIError(w, &APIError{
-			Code: CodeInvalidRequest, Message: fmt.Sprintf("invalid request body: %v", err),
-		})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCreateBody)).Decode(&req); err != nil {
+		ae := &APIError{Code: CodeInvalidRequest, Message: fmt.Sprintf("invalid request body: %v", err)}
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorEnvelope{Error: ae})
+			return
+		}
+		writeAPIError(w, ae)
 		return
 	}
 	if req.Workload == "" {

@@ -3,7 +3,7 @@ package parallel
 // RadixSortUint64 sorts keys ascending using a parallel least-significant-
 // digit radix sort with 8-bit digits. This is the O(N) key sort that gives
 // the paper's parallel interval merge its O(log N) depth on a PRAM; here the
-// histogram and scatter phases run across scheduler-leased workers.
+// histogram and scatter phases run across the pool's goroutines.
 //
 // The sort is stable, which the interval merge relies on: for equal
 // addresses, record order decides whether an end marker lands after a start
